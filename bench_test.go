@@ -215,6 +215,29 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSegment measures AAL5 segmentation of one loadgen frame: a
+// 960-byte payload with its 16-byte header applied at segmentation,
+// written straight into the cell train (the window-to-cells copy).
+func BenchmarkSegment(b *testing.B) {
+	payload := make([]byte, 960)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	hdr := make([]byte, 16)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cells, err := atm.SegmentHeader(7, 1, hdr, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		segmentSink = cells
+	}
+}
+
+// segmentSink keeps BenchmarkSegment's result live.
+var segmentSink []atm.Cell
+
 // BenchmarkCodecFrame measures the tile codec over a full 640x480 frame.
 func BenchmarkCodecFrame(b *testing.B) {
 	f := media.SyntheticFrame(640, 480, 1)

@@ -21,6 +21,8 @@ var (
 	ErrCRC = errors.New("atm: AAL5 CRC-32 mismatch")
 	// ErrLength reports a trailer length inconsistent with the cell count.
 	ErrLength = errors.New("atm: AAL5 length field inconsistent")
+	// ErrHeader reports a SegmentHeader header longer than its payload.
+	ErrHeader = errors.New("atm: AAL5 header longer than payload")
 )
 
 // Segment packs payload into AAL5 cells on the given circuit. The final
@@ -28,30 +30,57 @@ var (
 // trailer; intermediate cells carry PTIUser0. uu is the CPCS user-to-user
 // byte, which Pegasus devices use as a small stream tag.
 func Segment(vci VCI, uu byte, payload []byte) ([]Cell, error) {
-	if len(payload) > MaxFrame {
+	return SegmentHeader(vci, uu, nil, payload)
+}
+
+// SegmentHeader is Segment for the frame hdr ++ payload[len(hdr):]: hdr
+// replaces the payload's leading bytes in the cells without either
+// slice being written. A source stamps its per-frame header this way
+// onto a read-only playout window (which other viewers may share), so
+// the bytes are copied once, window to cells, with the header applied
+// at segmentation. It returns ErrHeader when hdr is longer than payload.
+func SegmentHeader(vci VCI, uu byte, hdr, payload []byte) ([]Cell, error) {
+	if len(hdr) > len(payload) {
+		return nil, ErrHeader
+	}
+	n := len(payload)
+	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	// Pad so payload + trailer fills a whole number of cells.
-	total := len(payload) + trailerSize
-	ncells := (total + PayloadSize - 1) / PayloadSize
-	padded := make([]byte, ncells*PayloadSize)
-	copy(padded, payload)
-	tr := padded[len(padded)-trailerSize:]
-	tr[0] = uu
-	tr[1] = 0 // CPI
-	binary.BigEndian.PutUint16(tr[2:], uint16(len(payload)))
-	crc := crc32.ChecksumIEEE(padded[:len(padded)-4])
-	binary.BigEndian.PutUint32(tr[4:], crc)
-
+	ncells := CellsFor(n)
 	cells := make([]Cell, ncells)
+	// Frame byte i sits at payload offset i, so whole cells are single
+	// fixed-size moves; the header then overwrites the leading bytes.
+	// Fresh cells are zero, so the pad needs no writes.
 	for i := range cells {
-		cells[i].VCI = vci
-		cells[i].PTI = PTIUser0
-		copy(cells[i].Payload[:], padded[i*PayloadSize:])
+		c := &cells[i]
+		c.VCI = vci
+		c.PTI = PTIUser0
+		if rest := payload[min(i*PayloadSize, n):]; len(rest) >= PayloadSize {
+			c.Payload = [PayloadSize]byte(rest)
+		} else {
+			copy(c.Payload[:], rest)
+		}
 	}
 	cells[ncells-1].PTI = PTIUser1
+	for i := 0; i*PayloadSize < len(hdr); i++ {
+		copy(cells[i].Payload[:], hdr[i*PayloadSize:])
+	}
+	tr := cells[ncells-1].Payload[PayloadSize-trailerSize:]
+	tr[0] = uu // tr[1], the CPI, stays 0
+	binary.BigEndian.PutUint16(tr[2:], uint16(n))
+	// One CRC pass per piece, not per cell: whole-slice updates keep the
+	// carry-less-multiply fast path.
+	crc := crc32.ChecksumIEEE(hdr)
+	crc = crc32.Update(crc, crc32.IEEETable, payload[len(hdr):])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroPad[:ncells*PayloadSize-n-trailerSize])
+	crc = crc32.Update(crc, crc32.IEEETable, tr[:4])
+	binary.BigEndian.PutUint32(tr[4:], crc)
 	return cells, nil
 }
+
+// zeroPad is the longest AAL5 pad: less than one cell.
+var zeroPad [PayloadSize]byte
 
 // Frame is a reassembled AAL5 CS-PDU.
 type Frame struct {

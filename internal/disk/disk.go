@@ -76,9 +76,8 @@ func (s *Stats) BusyTime() sim.Duration { return s.SeekTime + s.RotTime + s.Tran
 type request struct {
 	write bool
 	off   int64
-	data  []byte // write payload or read buffer length carrier
-	n     int
-	done  func([]byte, error)
+	data  []byte // write payload, or the caller's read destination
+	done  func(error)
 }
 
 // Disk is a single mechanical disk running on the simulator. Operations
@@ -121,7 +120,7 @@ func (d *Disk) Fail() {
 	d.failed = true
 	for _, r := range d.queue {
 		r := r
-		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrFailed) })
+		d.sim.At(d.sim.Now(), func() { r.done(ErrFailed) })
 	}
 	d.queue = nil
 }
@@ -133,26 +132,39 @@ func (d *Disk) Repair() {
 	d.data = make([]byte, d.size)
 }
 
-// Read queues a read of n bytes at off; done receives the data.
+// Read queues a read of n bytes at off; done receives the data in a
+// fresh buffer.
 func (d *Disk) Read(off int64, n int, done func([]byte, error)) {
-	d.submit(request{off: off, n: n, done: done})
+	buf := make([]byte, n)
+	d.ReadInto(off, buf, func(err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(buf, nil)
+	})
 }
 
-// Write queues a write; done receives nil data on success.
+// ReadInto queues a read of len(dst) bytes at off straight into dst —
+// the platter-to-buffer DMA, the only copy a stored byte makes on its
+// way into a caller's buffer. The caller must not touch dst until done
+// fires; on error dst's contents are unspecified.
+func (d *Disk) ReadInto(off int64, dst []byte, done func(error)) {
+	d.submit(request{off: off, data: dst, done: done})
+}
+
+// Write queues a write; done fires once the data is on the platter.
 func (d *Disk) Write(off int64, p []byte, done func(error)) {
-	buf := append([]byte(nil), p...)
-	d.submit(request{write: true, off: off, data: buf, n: len(buf), done: func(_ []byte, err error) {
-		done(err)
-	}})
+	d.submit(request{write: true, off: off, data: append([]byte(nil), p...), done: done})
 }
 
 func (d *Disk) submit(r request) {
 	if d.failed {
-		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrFailed) })
+		d.sim.At(d.sim.Now(), func() { r.done(ErrFailed) })
 		return
 	}
-	if r.off < 0 || r.off+int64(r.n) > d.size {
-		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrBounds) })
+	if r.off < 0 || r.off+int64(len(r.data)) > d.size {
+		d.sim.At(d.sim.Now(), func() { r.done(ErrBounds) })
 		return
 	}
 	d.queue = append(d.queue, r)
@@ -183,29 +195,28 @@ func (d *Disk) next() {
 		d.Stats.RotTime += d.params.RotHalf
 		d.Stats.Seeks++
 	}
-	xfer := sim.Duration(int64(r.n) * int64(sim.Second) / d.params.Rate)
+	n := int64(len(r.data))
+	xfer := sim.Duration(n * int64(sim.Second) / d.params.Rate)
 	cost += xfer
 	d.Stats.TransferTime += xfer
 
 	d.sim.After(cost, func() {
 		if d.failed {
-			r.done(nil, ErrFailed)
+			r.done(ErrFailed)
 			d.next()
 			return
 		}
-		d.headPos = r.off + int64(r.n)
+		d.headPos = r.off + n
 		if r.write {
 			copy(d.data[r.off:], r.data)
 			d.Stats.Writes++
-			d.Stats.BytesWrite += int64(r.n)
-			r.done(nil, nil)
+			d.Stats.BytesWrite += n
 		} else {
-			out := make([]byte, r.n)
-			copy(out, d.data[r.off:])
+			copy(r.data, d.data[r.off:])
 			d.Stats.Reads++
-			d.Stats.BytesRead += int64(r.n)
-			r.done(out, nil)
+			d.Stats.BytesRead += n
 		}
+		r.done(nil)
 		d.next()
 	})
 }

@@ -135,8 +135,8 @@ func (ic *intervalCache) window(path string, off, n int64) ([]byte, bool) {
 
 // insert files one freshly fetched full-tier window into the wake
 // store. The slice is aliased, not copied — the wake IS the feeder's
-// buffer; readers copy on hit because playout stamps frame headers in
-// place.
+// buffer, and followers share it on hit: windows are read-only once
+// filled (headers are applied at segmentation, never in place).
 func (ic *intervalCache) insert(cm *CMStream, off int64, data []byte) {
 	if cm.frameBytes != cm.fullFrameBytes || int64(len(data)) != cm.roundBytes {
 		return
@@ -477,4 +477,14 @@ func (svc *CMService) CachePinned() int64 {
 		return 0
 	}
 	return svc.cache.pinned
+}
+
+// WakeWindow reports the resident wake window filed for path at title
+// offset off, without touching its recency. The slice is the one every
+// viewer riding the wake plays from, so it is read-only.
+func (svc *CMService) WakeWindow(path string, off int64) ([]byte, bool) {
+	if svc.cache == nil {
+		return nil, false
+	}
+	return svc.cache.lru.Peek(wakeKey{path, off})
 }

@@ -221,7 +221,7 @@ func (sv *Server) applyWrite(st *fileState, off int64, data []byte) error {
 }
 
 // Read serves a read, combining logged data with buffered writes (the
-// buffer is newer and wins).
+// buffer is newer and wins). The core layer allocates the result.
 func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) {
 	st, ok := sv.files[path]
 	if !ok {
@@ -229,18 +229,10 @@ func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) 
 		return
 	}
 	sv.Stats.Reads++
-	overlay := func(base []byte) []byte {
-		for _, p := range st.pending {
-			lo := max64(p.off, off)
-			hi := min64(p.off+int64(len(p.data)), off+int64(n))
-			if lo < hi {
-				copy(base[lo-off:hi-off], p.data[lo-p.off:hi-p.off])
-			}
-		}
-		return base
-	}
 	if st.pn == 0 {
-		done(overlay(make([]byte, n)), nil)
+		b := make([]byte, n)
+		st.overlay(off, b)
+		done(b, nil)
 		return
 	}
 	sv.fs.Read(st.pn, off, n, func(b []byte, err error) {
@@ -248,8 +240,44 @@ func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) 
 			done(nil, err)
 			return
 		}
-		done(overlay(b), nil)
+		st.overlay(off, b)
+		done(b, nil)
 	})
+}
+
+// ReadInto is Read straight into dst, [off, off+len(dst)). The caller
+// must not touch dst until done fires.
+func (sv *Server) ReadInto(path string, off int64, dst []byte, done func(error)) {
+	st, ok := sv.files[path]
+	if !ok {
+		done(fmt.Errorf("%w: %s", ErrNotFound, path))
+		return
+	}
+	sv.Stats.Reads++
+	if st.pn == 0 {
+		clear(dst)
+		st.overlay(off, dst)
+		done(nil)
+		return
+	}
+	sv.fs.ReadInto(st.pn, off, dst, func(err error) {
+		if err == nil {
+			st.overlay(off, dst)
+		}
+		done(err)
+	})
+}
+
+// overlay copies the buffered writes overlapping [off, off+len(b))
+// over b.
+func (st *fileState) overlay(off int64, b []byte) {
+	for _, p := range st.pending {
+		lo := max64(p.off, off)
+		hi := min64(p.off+int64(len(p.data)), off+int64(len(b)))
+		if lo < hi {
+			copy(b[lo-off:hi-off], p.data[lo-p.off:hi-p.off])
+		}
+	}
 }
 
 // Delete removes a file. A file that lived and died inside the

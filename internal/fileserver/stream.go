@@ -412,12 +412,11 @@ func (svc *CMService) fetch(cm *CMStream, b int, counted bool) {
 			// with no disk I/O at all — for a cache-served follower that
 			// is its whole service; a disk-backed stream just skips one
 			// read (its budget stays charged: admission promised the
-			// heads, the cache merely idles them). Copied because
-			// playout stamps frame headers into its buffer in place and
-			// the wake is shared.
+			// heads, the cache merely idles them). Shared, not copied:
+			// windows are read-only once filled.
 			cm.fetchOff = (off + n) % cm.size
 			buf.frameBytes = cm.frameBytes
-			buf.data = append([]byte(nil), data...)
+			buf.data = data
 			buf.ready = true
 			buf.fetching = false
 			svc.Stats.CacheHits++
@@ -453,25 +452,19 @@ func (svc *CMService) fetch(cm *CMStream, b int, counted bool) {
 	tail := cm.size - off
 	combined := make([]byte, n)
 	parts, failed := 2, false
-	part := func(dst []byte) func([]byte, error) {
-		return func(data []byte, err error) {
-			if err != nil {
-				failed = true
-			} else {
-				copy(dst, data)
-			}
-			if parts--; parts > 0 {
-				return
-			}
-			if failed {
-				svc.fetched(cm, buf, off, counted, nil, errors.New("fileserver: wrapped window read failed"))
-				return
-			}
-			svc.fetched(cm, buf, off, counted, combined, nil)
+	part := func(err error) {
+		failed = failed || err != nil
+		if parts--; parts > 0 {
+			return
 		}
+		if failed {
+			svc.fetched(cm, buf, off, counted, nil, errors.New("fileserver: wrapped window read failed"))
+			return
+		}
+		svc.fetched(cm, buf, off, counted, combined, nil)
 	}
-	svc.sv.Read(cm.path, off, int(tail), part(combined[:tail]))
-	svc.sv.Read(cm.path, 0, int(n-tail), part(combined[tail:]))
+	svc.sv.ReadInto(cm.path, off, combined[:tail], part)
+	svc.sv.ReadInto(cm.path, 0, combined[tail:], part)
 }
 
 // fetched completes one window fetch (possibly assembled from a wrapped
@@ -597,6 +590,11 @@ func (cm *CMStream) FullFrameBytes() int { return cm.fullFrameBytes }
 // buffer. It reports false — and counts an underrun — when the buffer
 // has no data, which admission control exists to prevent; playout then
 // skips the frame and resumes when read-ahead catches up.
+//
+// The returned slice is read-only: it aliases the window the disks
+// filled, which the interval cache may share with other viewers of the
+// title. Apply per-stream headers at segmentation (atm.SegmentHeader),
+// never by writing into the slice.
 func (cm *CMStream) NextFrame() ([]byte, bool) {
 	if cm.released {
 		return nil, false

@@ -458,28 +458,48 @@ func (fs *FS) Delete(pn Pnode) error {
 	return nil
 }
 
-// Read fetches [off, off+n) of a file; holes read as zeros. The done
-// callback fires once the data is available (possibly synchronously for
-// cached or in-memory ranges).
+// Read fetches [off, off+n) of a file into a fresh buffer; see
+// ReadInto.
 func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
-	pi, ok := fs.pnodes[pn]
-	if !ok {
-		done(nil, ErrNoFile)
-		return
-	}
-	if off < 0 || n < 0 {
+	if n < 0 {
 		done(nil, ErrBadExtent)
 		return
 	}
 	out := make([]byte, n)
+	fs.ReadInto(pn, off, out, func(err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(out, nil)
+	})
+}
+
+// ReadInto fetches [off, off+len(dst)) of a file straight into dst;
+// holes read as zeros. Each extent on the array is read into its own
+// sub-slice of dst, so a stored byte is copied once, by the disk. The
+// done callback fires once dst is filled (possibly synchronously for
+// cached or in-memory ranges); the caller must not touch dst before
+// then. On error dst's contents are unspecified.
+func (fs *FS) ReadInto(pn Pnode, off int64, dst []byte, done func(error)) {
+	pi, ok := fs.pnodes[pn]
+	if !ok {
+		done(ErrNoFile)
+		return
+	}
+	if off < 0 {
+		done(ErrBadExtent)
+		return
+	}
+	n := int64(len(dst))
 	cacheOK := fs.cacheable(pi)
-	if cacheOK && fs.cache.read(pn, off, out) {
+	if cacheOK && fs.cache.read(pn, off, dst) {
 		if pi.continuous {
 			fs.Stats.MediaCacheHits++
 		} else {
 			fs.Stats.CacheHits++
 		}
-		done(out, nil)
+		done(nil)
 		return
 	}
 	if cacheOK {
@@ -494,28 +514,32 @@ func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 		dst  []byte
 	}
 	var reqs []diskReq
+	filled := off // extents are sorted: bytes below filled are placed
 	for _, e := range pi.extents {
 		lo := max64(e.FileOff, off)
-		hi := min64(e.FileOff+e.Len, off+int64(n))
+		hi := min64(e.FileOff+e.Len, off+n)
 		if lo >= hi {
 			continue
 		}
+		clear(dst[filled-off : lo-off]) // hole
+		filled = hi
 		addr := e.Addr + (lo - e.FileOff)
-		dst := out[lo-off : hi-off]
+		sub := dst[lo-off : hi-off]
 		if os, ok := fs.open[fs.segOf(addr)]; ok {
-			copy(dst, os.buf[addr-fs.segBase(os.id):])
+			copy(sub, os.buf[addr-fs.segBase(os.id):])
 			continue
 		}
-		reqs = append(reqs, diskReq{addr: addr, dst: dst})
+		reqs = append(reqs, diskReq{addr: addr, dst: sub})
 	}
+	clear(dst[filled-off:])
 	finish := func() {
 		if cacheOK {
 			// Cache the file blocks this read fully covered; the cache
 			// lives in file space, so relocation by the cleaner never
 			// stales it and only writes invalidate.
-			fs.cache.fill(pn, off, out)
+			fs.cache.fill(pn, off, dst)
 		}
-		done(out, nil)
+		done(nil)
 	}
 	if len(reqs) == 0 {
 		finish()
@@ -524,19 +548,14 @@ func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 	remaining := len(reqs)
 	var firstErr error
 	for _, r := range reqs {
-		r := r
-		fs.arr.Read(r.addr, len(r.dst), func(b []byte, err error) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				copy(r.dst, b)
+		fs.arr.ReadInto(r.addr, r.dst, func(err error) {
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
 			remaining--
 			if remaining == 0 {
 				if firstErr != nil {
-					done(nil, firstErr)
+					done(firstErr)
 					return
 				}
 				finish()

@@ -127,7 +127,7 @@ func (sc *Scenario) buildCluster() {
 			req.src = &source{
 				sim:     sc.site.Sim,
 				period:  period,
-				payload: make([]byte, cfg.FrameBytes),
+				payload: sc.synthFrame(),
 				sent:    sc.trafficFor(sc.site.Sim).framesSent,
 			}
 			sc.requests = append(sc.requests, req)

@@ -18,7 +18,6 @@ package loadgen
 // -partitions N is deterministic per N.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -46,6 +45,7 @@ type liveSource struct {
 	out     *fabric.Link
 	period  sim.Duration
 	payload []byte
+	hdr     frameHeader
 	seq     uint32
 
 	// vcis are the circuits to transmit on: the tree's single VCI, or
@@ -66,14 +66,12 @@ func (s *liveSource) start(phase sim.Duration) {
 
 func (s *liveSource) tick() {
 	s.sim.After(s.period, s.tick)
-	binary.BigEndian.PutUint64(s.payload[0:], uint64(s.sim.Now()))
-	binary.BigEndian.PutUint32(s.payload[8:], s.seq)
-	binary.BigEndian.PutUint32(s.payload[12:], magic)
+	hdr := s.hdr.stamp(s.sim.Now(), s.seq)
 	s.seq++
 	for _, vci := range s.vcis {
-		cells, err := atm.Segment(vci, devices.UUData, s.payload)
+		cells, err := atm.SegmentHeader(vci, devices.UUData, hdr, s.payload)
 		if err != nil {
-			panic("loadgen: live frame exceeds AAL5 limit")
+			panic(fmt.Sprintf("loadgen: unsegmentable live frame: %v", err))
 		}
 		s.out.SendBurst(cells)
 		s.sent.Inc()
@@ -206,7 +204,7 @@ func (sc *Scenario) buildLive() {
 			sim:     cam.Sim,
 			out:     cam.ToSwitch,
 			period:  period,
-			payload: make([]byte, cfg.FrameBytes),
+			payload: sc.synthFrame(),
 			sent:    lv.sent,
 			cells:   lv.cells,
 			saved:   lv.saved,

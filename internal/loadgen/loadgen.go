@@ -643,6 +643,19 @@ const (
 	magic      = 0x5045474c // "PEGL"
 )
 
+// frameHeader is one frame's header, applied over the payload's first
+// headerSize bytes at segmentation (atm.SegmentHeader): payloads are
+// read-only, since storage windows are shared with other viewers.
+type frameHeader [headerSize]byte
+
+// stamp fills the header for a frame emitted at now with sequence seq.
+func (h *frameHeader) stamp(now sim.Time, seq uint32) []byte {
+	binary.BigEndian.PutUint64(h[0:], uint64(now))
+	binary.BigEndian.PutUint32(h[8:], seq)
+	binary.BigEndian.PutUint32(h[12:], magic)
+	return h[:]
+}
+
 // source is a CBR frame generator on one circuit. With cm set, each
 // frame's payload is pulled from the storage read-ahead buffer instead
 // of synthesized; an underrun skips the frame (counted by the service).
@@ -653,8 +666,9 @@ type source struct {
 	out     *fabric.Link
 	vci     atm.VCI
 	period  sim.Duration
-	payload []byte
+	payload []byte // synthetic frame (Scenario.synthFrame)
 	cm      *fileserver.CMStream
+	hdr     frameHeader
 	seq     uint32
 	running bool
 	chained bool
@@ -701,13 +715,10 @@ func (s *source) tick() {
 		}
 		payload = data
 	}
-	binary.BigEndian.PutUint64(payload[0:], uint64(s.sim.Now()))
-	binary.BigEndian.PutUint32(payload[8:], s.seq)
-	binary.BigEndian.PutUint32(payload[12:], magic)
+	cells, err := atm.SegmentHeader(s.vci, devices.UUData, s.hdr.stamp(s.sim.Now(), s.seq), payload)
 	s.seq++
-	cells, err := atm.Segment(s.vci, devices.UUData, payload)
 	if err != nil {
-		panic("loadgen: frame exceeds AAL5 limit")
+		panic(fmt.Sprintf("loadgen: unsegmentable frame: %v", err))
 	}
 	s.out.SendBurst(cells)
 	s.sent.Inc()
@@ -914,6 +925,7 @@ type Scenario struct {
 	Servers []*core.StorageServer
 
 	streams []*Stream
+	synth   []byte // see synthFrame
 
 	// Cluster-mode state: the site controller, every viewer request,
 	// and the requests no replica could carry (retried when a reactive
@@ -1239,12 +1251,21 @@ func (sc *Scenario) addStream(from *core.Endpoint, dsts []*core.Endpoint, idx in
 			sim:     from.Sim,
 			out:     from.ToSwitch,
 			period:  period,
-			payload: make([]byte, sc.cfg.FrameBytes),
+			payload: sc.synthFrame(),
 			sent:    sc.trafficFor(from.Sim).framesSent,
 		},
 	}
 	sc.streams = append(sc.streams, st)
 	return st
+}
+
+// synthFrame returns the all-zero synthetic frame that every source
+// without storage transmits, shared read-only. Global context only.
+func (sc *Scenario) synthFrame() []byte {
+	if sc.synth == nil {
+		sc.synth = make([]byte, sc.cfg.FrameBytes)
+	}
+	return sc.synth
 }
 
 // Run starts every admitted source, advances the simulation by the

@@ -146,7 +146,7 @@ func (sc *Scenario) buildMetro() {
 			req.src = &source{
 				sim:     home.Site.Sim,
 				period:  period,
-				payload: make([]byte, cfg.FrameBytes),
+				payload: sc.synthFrame(),
 				sent:    sc.trafficFor(home.Site.Sim).framesSent,
 			}
 			sc.mreqs = append(sc.mreqs, req)

@@ -154,7 +154,9 @@ func (a *Array) WriteSegment(seg int64, data []byte, done func(error)) {
 }
 
 // ReadSegment reads a whole segment, reconstructing through parity if
-// one data disk is down.
+// one data disk is down. Each chunk lands straight in its slot of the
+// result; a lost data chunk's slot receives the parity chunk and then
+// has the surviving data chunks XORed into it.
 func (a *Array) ReadSegment(seg int64, done func([]byte, error)) {
 	if seg < 0 || seg >= a.nseg {
 		a.sim.At(a.sim.Now(), func() { done(nil, fmt.Errorf("raid: segment %d out of range", seg)) })
@@ -168,11 +170,14 @@ func (a *Array) ReadSegment(seg int64, done func([]byte, error)) {
 	a.Stats.SegmentReads++
 	off := seg * int64(a.chunk)
 	out := make([]byte, a.segSize)
-	chunks := make([][]byte, TotalDisks)
+	slot := func(i int) []byte { return out[i*a.chunk : (i+1)*a.chunk] }
 	remaining := 0
 	var firstErr error
 	needParity := nf == 1 && failed < DataDisks
-	finish := func() {
+	finish := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 		remaining--
 		if remaining != 0 {
 			return
@@ -183,38 +188,24 @@ func (a *Array) ReadSegment(seg int64, done func([]byte, error)) {
 		}
 		if needParity {
 			a.Stats.Reconstructions++
-			rec := make([]byte, a.chunk)
-			copy(rec, chunks[DataDisks])
 			for i := 0; i < DataDisks; i++ {
 				if i != failed {
-					xorInto(rec, chunks[i])
+					xorInto(slot(failed), slot(i))
 				}
 			}
-			chunks[failed] = rec
-		}
-		for i := 0; i < DataDisks; i++ {
-			copy(out[i*a.chunk:], chunks[i])
 		}
 		done(out, nil)
-	}
-	read := func(i int) {
-		remaining++
-		a.disks[i].Read(off, a.chunk, func(b []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			chunks[i] = b
-			finish()
-		})
 	}
 	for i := 0; i < DataDisks; i++ {
 		if i == failed {
 			continue
 		}
-		read(i)
+		remaining++
+		a.disks[i].ReadInto(off, slot(i), finish)
 	}
 	if needParity {
-		read(DataDisks)
+		remaining++
+		a.disks[DataDisks].ReadInto(off, slot(failed), finish)
 	}
 }
 
@@ -228,84 +219,80 @@ func (a *Array) addrOf(off int64) (diskIdx int, diskOff int64) {
 }
 
 // Read fetches an arbitrary extent from the array's linear address
-// space (segment-major), reconstructing via parity as needed. It issues
-// one disk read per touched chunk.
+// space into a fresh buffer; see ReadInto.
 func (a *Array) Read(off int64, n int, done func([]byte, error)) {
-	if n == 0 {
-		a.sim.At(a.sim.Now(), func() { done(nil, nil) })
-		return
-	}
-	if off < 0 || off+int64(n) > a.nseg*int64(a.segSize) {
+	if n < 0 {
 		a.sim.At(a.sim.Now(), func() { done(nil, disk.ErrBounds) })
 		return
 	}
 	out := make([]byte, n)
+	a.ReadInto(off, out, func(err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		done(out, nil)
+	})
+}
+
+// ReadInto fetches [off, off+len(dst)) of the array's linear address
+// space (segment-major) straight into dst, reconstructing via parity as
+// needed. It issues one disk read per touched chunk, each landing in
+// its own sub-slice of dst. The caller must not touch dst until done
+// fires; on error dst's contents are unspecified.
+func (a *Array) ReadInto(off int64, dst []byte, done func(error)) {
+	n := len(dst)
+	if n == 0 {
+		a.sim.At(a.sim.Now(), func() { done(nil) })
+		return
+	}
+	if off < 0 || off+int64(n) > a.nseg*int64(a.segSize) {
+		a.sim.At(a.sim.Now(), func() { done(disk.ErrBounds) })
+		return
+	}
+	// Disk completions are always events, never synchronous, so every
+	// chunk is issued before the first can finish.
 	remaining := 0
 	var firstErr error
-	issued := false
-	finish := func() {
-		remaining--
-		if remaining == 0 && issued {
-			if firstErr != nil {
-				done(nil, firstErr)
-			} else {
-				done(out, nil)
-			}
+	finish := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if remaining--; remaining == 0 {
+			done(firstErr)
 		}
 	}
-	pos := 0
-	for pos < n {
-		cur := off + int64(pos)
-		diskIdx, diskOff := a.addrOf(cur)
+	for pos := 0; pos < n; {
+		diskIdx, diskOff := a.addrOf(off + int64(pos))
 		// Bytes until the end of this chunk.
-		inChunk := a.chunk - int(diskOff%int64(a.chunk))
-		take := n - pos
-		if take > inChunk {
-			take = inChunk
-		}
-		dst := out[pos : pos+take]
+		take := min(n-pos, a.chunk-int(diskOff%int64(a.chunk)))
 		remaining++
-		a.readChunkRange(diskIdx, diskOff, take, func(b []byte, err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			} else if err == nil {
-				copy(dst, b)
-			}
-			finish()
-		})
+		a.readChunkInto(diskIdx, diskOff, dst[pos:pos+take], finish)
 		pos += take
-	}
-	issued = true
-	if remaining == 0 {
-		done(out, nil)
 	}
 }
 
-// readChunkRange reads from one disk, falling back to parity
-// reconstruction when that disk is failed.
-func (a *Array) readChunkRange(diskIdx int, off int64, n int, done func([]byte, error)) {
+// readChunkInto reads one chunk range from one disk into dst, falling
+// back to parity reconstruction — XOR of the other three data disks
+// and parity over the same range, accumulated in dst — when that disk
+// is failed.
+func (a *Array) readChunkInto(diskIdx int, off int64, dst []byte, done func(error)) {
 	if !a.disks[diskIdx].Failed() {
-		a.disks[diskIdx].Read(off, n, done)
+		a.disks[diskIdx].ReadInto(off, dst, done)
 		return
 	}
 	if nf, _ := a.failedCount(); nf > 1 {
-		a.sim.At(a.sim.Now(), func() { done(nil, ErrTooManyFailures) })
+		a.sim.At(a.sim.Now(), func() { done(ErrTooManyFailures) })
 		return
 	}
-	// Reconstruct: XOR of the other three data disks and parity over
-	// the same range.
 	a.Stats.Reconstructions++
-	rec := make([]byte, n)
+	clear(dst)
 	remaining := 0
 	var firstErr error
 	finish := func() {
 		remaining--
 		if remaining == 0 {
-			if firstErr != nil {
-				done(nil, firstErr)
-			} else {
-				done(rec, nil)
-			}
+			done(firstErr)
 		}
 	}
 	for i := 0; i < TotalDisks; i++ {
@@ -313,11 +300,11 @@ func (a *Array) readChunkRange(diskIdx int, off int64, n int, done func([]byte, 
 			continue
 		}
 		remaining++
-		a.disks[i].Read(off, n, func(b []byte, err error) {
+		a.disks[i].Read(off, len(dst), func(b []byte, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			} else if err == nil {
-				xorInto(rec, b)
+				xorInto(dst, b)
 			}
 			finish()
 		})
