@@ -11,15 +11,24 @@
 //	pegload -cluster -ws 24 -streams 2 -servers 4 -titles 8 -zipf 1.6
 //	pegload -cluster -base-replicas 2 -fail-node-at 3 -fail-node 0
 //	pegload -cluster -partitions 4 -ws 64 -streams 4  # sharded kernel, one goroutine per core
-//	pegload -metro -sites 3 -site-replicas 2 -spill-ablation  # federated sites, flash crowd on site 0
+//	pegload -metro -sites 3 -site-replicas 2 -ablate spill  # federated sites, flash crowd on site 0
+//	pegload -cluster -servers 2 -ws 16 -streams 8 -cache-mb 64 -ablate cache -min-ratio 2
 //	pegload -adaptive -ws 6 -streams 2 -seconds 4 -expect-degraded
 //	pegload -cell-accurate -ws 8 -seconds 1   # exact per-cell model
 //	pegload -json
 //
+// The topology flags (-pattern, -from-storage, -cluster, -metro, -live,
+// -adaptive, -cpu-bound) pick one row of loadgen's scenario table; a
+// flag that row does not read, or a second topology, is an error (exit
+// 2) before anything runs. -ablate runs the row's named twin first —
+// the same scenario with one mechanism off — and reports it in the
+// scoreboard's ablation column.
+//
 // With -check, pegload exits non-zero unless the run actually proved
-// something: streams admitted, frames delivered, and — for storage-
-// backed runs — zero buffer underruns among admitted streams. CI runs
-// the scoreboard this way so a silently-degenerate run fails the build.
+// something: streams admitted, frames delivered, zero buffer underruns
+// among admitted streams, disks read for storage-backed runs, and a
+// measured run strictly ahead of its -ablate twin. CI runs the
+// scoreboard this way so a silently-degenerate run fails the build.
 package main
 
 import (
@@ -30,105 +39,127 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 
 	"repro/internal/loadgen"
 	"repro/internal/sim"
 )
 
+// seconds is a sim.Duration flag given in seconds, rounded to the
+// nearest nanosecond: 0.3 s must mean exactly 30 frame periods, not
+// 299999999 ns (which Validate would reject as a ragged round).
+type seconds sim.Duration
+
+func (s *seconds) String() string {
+	return strconv.FormatFloat(float64(*s)/float64(sim.Second), 'g', -1, 64)
+}
+
+func (s *seconds) Set(v string) error {
+	f, err := strconv.ParseFloat(v, 64)
+	*s = seconds(math.Round(f * float64(sim.Second)))
+	return err
+}
+
+func secondsVar(d *sim.Duration, name string, def float64, usage string) {
+	*d = sim.Duration(math.Round(def * float64(sim.Second)))
+	flag.Var((*seconds)(d), name, usage)
+}
+
 func main() {
+	var cfg loadgen.Config
+	flag.IntVar(&cfg.Workstations, "ws", 50, "workstations")
+	flag.IntVar(&cfg.StreamsPerWS, "streams", 10, "streams admitted per workstation")
+	flag.IntVar(&cfg.Servers, "servers", 0, "VoD storage servers (0 = auto)")
+	secondsVar(&cfg.Duration, "seconds", 10, "simulated seconds")
+	flag.IntVar(&cfg.FrameBytes, "bytes", 0, "AAL5 payload bytes per frame (0 = mode default: 960; 19200 adaptive)")
+	flag.IntVar(&cfg.FrameHz, "hz", 100, "frames per second per stream")
+	flag.Int64Var(&cfg.PeakRate, "rate", 0, "admitted peak bits/s per stream (0 = auto)")
+	flag.Int64Var(&cfg.LinkRate, "linkrate", 0, "link bit rate (0 = 100 Mb/s)")
+	flag.BoolVar(&cfg.CellAccurate, "cell-accurate", false,
+		"disable the batched fabric fast path (exact per-cell model; ~20x more events)")
+	flag.BoolVar(&cfg.FromStorage, "from-storage", false,
+		"serve VoD titles from the servers' disk arrays through the CM round scheduler "+
+			"(admission = links AND disks); implies -pattern vod")
+	secondsVar(&cfg.Round, "round", 0,
+		"storage scheduler round in seconds (0 = mode default: 2 from-storage, 1 cluster)")
+	flag.IntVar(&cfg.TitleRounds, "title-rounds", 4,
+		"stored title length in rounds; playout loops (storage-backed modes)")
+	flag.BoolVar(&cfg.Cluster, "cluster", false,
+		"run the multi-server VoD site: -servers nodes under the vodsite controller, "+
+			"Zipf title requests admitted on whichever replica has room, reactive replication")
+	flag.IntVar(&cfg.Partitions, "partitions", 0,
+		"shard the event kernel across this many conservative-lookahead partitions, one "+
+			"goroutine each (-cluster, -metro or -live; 0 = serial kernel; 1 = cluster machinery, "+
+			"bit-identical to serial; N>1 deterministic per N)")
+	flag.BoolVar(&cfg.FastDisks, "fast-disks", false,
+		"flash-era disk mechanics instead of the 1994 drive (-cluster, -metro); "+
+			"lifts per-node stream ceilings from tens to tens of thousands")
+	flag.BoolVar(&cfg.Adaptive, "adaptive", false,
+		"run the degrade-instead-of-refuse scenario: unicast disk-backed streams opened "+
+			"as Adaptive-class sessions; an over-subscribed site scales sessions down the "+
+			"tier ladder instead of refusing and restores them as capacity frees")
+	flag.BoolVar(&cfg.GuaranteedOnly, "guaranteed-only", false,
+		"force every -adaptive session to the Guaranteed class (the admit-or-refuse ablation)")
+	flag.BoolVar(&cfg.CPUBound, "cpu-bound", false,
+		"run the CPU-constrained scenario: unicast disk-backed streams with per-node "+
+			"Nemesis CPU admission (small per-stream rates, high per-stream CPU cost), so "+
+			"admission is the full link AND disk AND cpu conjunction and the processor "+
+			"refuses/degrades strictly before the disks fill; combine with -adaptive for "+
+			"degrade-instead-of-refuse on CPU")
+	flag.Int64Var(&cfg.CPUBytesPerSec, "cpu-throughput", 0,
+		"node protocol-processing throughput in bytes/s for -cpu-bound (0 = 1 MiB/s)")
+	secondsVar(&cfg.ReleaseAt, "release-at", 0,
+		"seconds into an -adaptive run to close every third stream (0 = half the run)")
+	flag.IntVar(&cfg.Titles, "titles", 0, "cluster catalog size (0 = 2x servers)")
+	flag.Float64Var(&cfg.ZipfS, "zipf", 0, "cluster Zipf popularity exponent (0 = 1.3)")
+	flag.Int64Var(&cfg.Seed, "seed", 0, "cluster request-sampling seed (0 = 1)")
+	flag.IntVar(&cfg.BaseReplicas, "base-replicas", 0, "initial replicas per title (0 = 1)")
+	flag.IntVar(&cfg.RefusalThreshold, "refusal-threshold", 0,
+		"title refusals before reactive replication (0 = 3)")
+	flag.IntVar(&cfg.MaxReplicas, "max-replicas", 0, "replica cap per title (0 = every node)")
+	flag.BoolVar(&cfg.ReplicationDisabled, "no-replication", false,
+		"disable reactive replication (the hot-title ablation)")
+	secondsVar(&cfg.FailNodeAt, "fail-node-at", 0,
+		"seconds into the run to tear one node down (0 = never)")
+	flag.IntVar(&cfg.FailNode, "fail-node", 0, "node to tear down with -fail-node-at")
+	flag.BoolVar(&cfg.Metro, "metro", false,
+		"federate -sites vodsite sites behind a two-tier fabric and home every "+
+			"viewer on site 0 (the flash crowd): requests the home site cannot "+
+			"carry spill across the core switch to neighbor sites, with the "+
+			"inter-site trunk as an explicit admission leg")
+	flag.IntVar(&cfg.Sites, "sites", 0, "metro federation size (0 = 3)")
+	flag.IntVar(&cfg.SiteReplicas, "site-replicas", 0,
+		"sites holding each title's bytes (0 = 2, capped at -sites)")
+	flag.Int64Var(&cfg.TrunkRate, "trunk-rate", 0,
+		"per-direction inter-site trunk bits/s (0 = 4x link rate)")
+	flag.BoolVar(&cfg.NoSpill, "no-spill", false,
+		"disable cross-site spill admission (the single-site ablation): "+
+			"home-site refusals are final")
+	flag.IntVar(&cfg.SpillThreshold, "spill-threshold", 0,
+		"title spill pressure before a lazy cross-site copy (0 = 4, <0 = never copy)")
+	secondsVar(&cfg.FailSiteAt, "fail-site-at", 0,
+		"seconds into a -metro run to fail one whole site (0 = never)")
+	flag.IntVar(&cfg.FailSite, "fail-site", 0, "site to fail with -fail-site-at")
+	flag.BoolVar(&cfg.Live, "live", false,
+		"run the live-broadcast flash crowd: -channels switch-level multicast "+
+			"channels, Zipf-popularity viewer join/leave churn with exponential hold "+
+			"times, and -vod-streams disk-backed Guaranteed VoD sessions sharing the "+
+			"viewer links; a join the link budget refuses degrades that channel's "+
+			"subtree down the tier ladder instead of refusing")
+	flag.IntVar(&cfg.Channels, "channels", 0, "live channels on the air (0 = 4)")
+	secondsVar(&cfg.HoldMean, "hold-mean", 0,
+		"mean viewer hold time in seconds for -live (0 = a quarter of the run)")
+	flag.IntVar(&cfg.VodStreams, "vod-streams", 0,
+		"background disk-backed VoD sessions in a -live run (0 = ws/2, negative = none)")
+	flag.IntVar(&cfg.CacheMB, "cache-mb", 0,
+		"per-node RAM buffer tier in MiB (storage-backed modes; 0 = no cache): a "+
+			"request trailing another viewer of the same title is served from the "+
+			"leader's wake in memory, charging no disk round budget")
+	var metricsEvery sim.Duration
+	secondsVar(&metricsEvery, "metrics-every", 0.5,
+		"sim-time sampling cadence in seconds for -metrics-out")
 	var (
-		pattern      = flag.String("pattern", "mesh", "traffic pattern: mesh | vod")
-		ws           = flag.Int("ws", 50, "workstations")
-		streams      = flag.Int("streams", 10, "streams admitted per workstation")
-		servers      = flag.Int("servers", 0, "VoD storage servers (0 = auto)")
-		seconds      = flag.Float64("seconds", 10, "simulated seconds")
-		frameBytes   = flag.Int("bytes", 0, "AAL5 payload bytes per frame (0 = mode default: 960; 19200 adaptive)")
-		frameHz      = flag.Int("hz", 100, "frames per second per stream")
-		peakRate     = flag.Int64("rate", 0, "admitted peak bits/s per stream (0 = auto)")
-		linkRate     = flag.Int64("linkrate", 0, "link bit rate (0 = 100 Mb/s)")
-		cellAccurate = flag.Bool("cell-accurate", false,
-			"disable the batched fabric fast path (exact per-cell model; ~20x more events)")
-		fromStorage = flag.Bool("from-storage", false,
-			"serve VoD titles from the servers' disk arrays through the CM round scheduler "+
-				"(admission = links AND disks); implies -pattern vod")
-		roundSecs = flag.Float64("round", 0,
-			"storage scheduler round in seconds (0 = mode default: 2 from-storage, 1 cluster)")
-		titleRounds = flag.Int("title-rounds", 4,
-			"stored title length in rounds; playout loops (storage-backed modes)")
-		cluster = flag.Bool("cluster", false,
-			"run the multi-server VoD site: -servers nodes under the vodsite controller, "+
-				"Zipf title requests admitted on whichever replica has room, reactive replication")
-		partitions = flag.Int("partitions", 0,
-			"shard the event kernel across this many conservative-lookahead partitions, one "+
-				"goroutine each (requires -cluster; 0 = serial kernel; 1 = cluster machinery, "+
-				"bit-identical to serial; N>1 deterministic per N)")
-		fastDisks = flag.Bool("fast-disks", false,
-			"flash-era disk mechanics instead of the 1994 drive (storage-backed modes); "+
-				"lifts per-node stream ceilings from tens to tens of thousands")
-		adaptive = flag.Bool("adaptive", false,
-			"run the degrade-instead-of-refuse scenario: unicast disk-backed streams opened "+
-				"as Adaptive-class sessions; an over-subscribed site scales sessions down the "+
-				"tier ladder instead of refusing and restores them as capacity frees")
-		guaranteedOnly = flag.Bool("guaranteed-only", false,
-			"force every -adaptive session to the Guaranteed class (the admit-or-refuse ablation)")
-		cpuBound = flag.Bool("cpu-bound", false,
-			"run the CPU-constrained scenario: unicast disk-backed streams with per-node "+
-				"Nemesis CPU admission (small per-stream rates, high per-stream CPU cost), so "+
-				"admission is the full link AND disk AND cpu conjunction and the processor "+
-				"refuses/degrades strictly before the disks fill; combine with -adaptive for "+
-				"degrade-instead-of-refuse on CPU")
-		cpuThroughput = flag.Int64("cpu-throughput", 0,
-			"node protocol-processing throughput in bytes/s for -cpu-bound (0 = 1 MiB/s)")
-		releaseAt = flag.Float64("release-at", 0,
-			"seconds into an -adaptive run to close every third stream (0 = half the run)")
-		titles       = flag.Int("titles", 0, "cluster catalog size (0 = 2x servers)")
-		zipfS        = flag.Float64("zipf", 0, "cluster Zipf popularity exponent (0 = 1.3)")
-		seed         = flag.Int64("seed", 0, "cluster request-sampling seed (0 = 1)")
-		baseReplicas = flag.Int("base-replicas", 0, "initial replicas per title (0 = 1)")
-		refusalThr   = flag.Int("refusal-threshold", 0,
-			"title refusals before reactive replication (0 = 3)")
-		maxReplicas = flag.Int("max-replicas", 0, "replica cap per title (0 = every node)")
-		noRepl      = flag.Bool("no-replication", false,
-			"disable reactive replication (the hot-title ablation)")
-		failNodeAt = flag.Float64("fail-node-at", 0,
-			"seconds into the run to tear one node down (0 = never)")
-		failNode  = flag.Int("fail-node", 0, "node to tear down with -fail-node-at")
-		metroMode = flag.Bool("metro", false,
-			"federate -sites vodsite sites behind a two-tier fabric and home every "+
-				"viewer on site 0 (the flash crowd): requests the home site cannot "+
-				"carry spill across the core switch to neighbor sites, with the "+
-				"inter-site trunk as an explicit admission leg")
-		sites        = flag.Int("sites", 0, "metro federation size (0 = 3)")
-		siteReplicas = flag.Int("site-replicas", 0,
-			"sites holding each title's bytes (0 = 2, capped at -sites)")
-		trunkRate = flag.Int64("trunk-rate", 0,
-			"per-direction inter-site trunk bits/s (0 = 4x link rate)")
-		noSpill = flag.Bool("no-spill", false,
-			"disable cross-site spill admission (the single-site ablation): "+
-				"home-site refusals are final")
-		spillThreshold = flag.Int("spill-threshold", 0,
-			"title spill pressure before a lazy cross-site copy (0 = 4, <0 = never copy)")
-		spillAblation = flag.Bool("spill-ablation", false,
-			"run the identical federation twice — spill off, then on — and report "+
-				"both admission counts; with -check the spilling run must admit strictly more")
-		failSiteAt = flag.Float64("fail-site-at", 0,
-			"seconds into a -metro run to fail one whole site (0 = never)")
-		failSite = flag.Int("fail-site", 0, "site to fail with -fail-site-at")
-		live     = flag.Bool("live", false,
-			"run the live-broadcast flash crowd: -channels switch-level multicast "+
-				"channels, Zipf-popularity viewer join/leave churn with exponential hold "+
-				"times, and -vod-streams disk-backed Guaranteed VoD sessions sharing the "+
-				"viewer links; a join the link budget refuses degrades that channel's "+
-				"subtree down the tier ladder instead of refusing")
-		channels = flag.Int("channels", 0, "live channels on the air (0 = 4)")
-		holdMean = flag.Float64("hold-mean", 0,
-			"mean viewer hold time in seconds for -live (0 = a quarter of the run)")
-		vodStreams = flag.Int("vod-streams", 0,
-			"background disk-backed VoD sessions in a -live run (0 = ws/2, negative = none)")
-		unicastAblation = flag.Bool("unicast-ablation", false,
-			"run the identical -live scenario twice — one circuit and one transmitted "+
-				"copy per viewer, then the shared multicast tree — and report both join "+
-				"counts; with -check the multicast run must admit strictly more")
+		pattern     = flag.String("pattern", "mesh", "traffic pattern: mesh | vod")
 		expectJoins = flag.Bool("expect-joins", false,
 			"exit 1 unless at least one live viewer was admitted (live)")
 		expectSubtreeDegraded = flag.Bool("expect-subtree-degraded", false,
@@ -137,21 +168,16 @@ func main() {
 		minFanoutRatio = flag.Float64("min-fanout-ratio", 0,
 			"exit 1 unless delivered copies per transmitted copy reached this "+
 				"multiple (live; 1.0 means the switch saved nothing)")
-		cacheMB = flag.Int("cache-mb", 0,
-			"per-node RAM buffer tier in MiB (storage-backed modes; 0 = no cache): a "+
-				"request trailing another viewer of the same title is served from the "+
-				"leader's wake in memory, charging no disk round budget")
-		noCache = flag.Bool("no-cache", false,
-			"force the RAM tier off regardless of -cache-mb (the cache ablation)")
-		cacheAblation = flag.Bool("cache-ablation", false,
-			"run the identical scenario twice — RAM tier off, then on — and report the "+
-				"cached/ablation stream-count ratio as a scoreboard column")
-		minCacheRatio = flag.Float64("min-cache-ratio", 0,
-			"exit 1 unless the cached run held at least this multiple of the no-cache "+
-				"ablation's streams (requires -cache-ablation)")
+		ablate = flag.String("ablate", "",
+			"run the identical scenario first with one mechanism off — cache (RAM tier; "+
+				"streams held), spill (cross-site admission; sessions admitted) or tree "+
+				"(live multicast; joins admitted) — and report the twin's count; with "+
+				"-check the measured run must beat it strictly")
+		minRatio = flag.Float64("min-ratio", 0,
+			"exit 1 unless the measured run reached this multiple of its -ablate twin's count")
 		check = flag.Bool("check", false,
-			"exit 1 unless streams were admitted, frames delivered, and no "+
-				"storage buffer underruns occurred")
+			"exit 1 unless streams were admitted, frames delivered, no storage buffer "+
+				"underruns occurred, and the run beat its -ablate twin")
 		minStorage = flag.Int("min-storage-streams", 0,
 			"exit 1 unless at least this many disk-backed streams are up")
 		expectRefusals = flag.Bool("expect-storage-refusals", false,
@@ -179,8 +205,6 @@ func main() {
 		metricsOut = flag.String("metrics-out", "",
 			"write the telemetry time series (columnar JSON, one values column per "+
 				"metric on a shared t_ns axis) to this file")
-		metricsEvery = flag.Float64("metrics-every", 0.5,
-			"sim-time sampling cadence in seconds for -metrics-out")
 		traceOut = flag.String("trace-out", "",
 			"write the per-session lifecycle trace (JSON lines: open/admitted/refused/"+
 				"degrade/restore/cache-served/demoted/underrun/close, with per-leg "+
@@ -190,64 +214,11 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := loadgen.Config{
-		Workstations: *ws,
-		StreamsPerWS: *streams,
-		Servers:      *servers,
-		FrameBytes:   *frameBytes,
-		FrameHz:      *frameHz,
-		PeakRate:     *peakRate,
-		LinkRate:     *linkRate,
-		Duration:     sim.Duration(*seconds * float64(sim.Second)),
-		CellAccurate: *cellAccurate,
-		FromStorage:  *fromStorage,
-		// Round to the nearest nanosecond: 0.3 s must mean exactly 30
-		// frame periods, not 299999999 ns (which admission would refuse).
-		Round:       sim.Duration(math.Round(*roundSecs * float64(sim.Second))),
-		TitleRounds: *titleRounds,
-
-		Cluster:             *cluster,
-		Partitions:          *partitions,
-		FastDisks:           *fastDisks,
-		Titles:              *titles,
-		ZipfS:               *zipfS,
-		Seed:                *seed,
-		BaseReplicas:        *baseReplicas,
-		RefusalThreshold:    *refusalThr,
-		MaxReplicas:         *maxReplicas,
-		ReplicationDisabled: *noRepl,
-		FailNodeAt:          sim.Duration(math.Round(*failNodeAt * float64(sim.Second))),
-		FailNode:            *failNode,
-		CacheMB:             *cacheMB,
-
-		Metro:          *metroMode,
-		Sites:          *sites,
-		SiteReplicas:   *siteReplicas,
-		TrunkRate:      *trunkRate,
-		NoSpill:        *noSpill,
-		SpillThreshold: *spillThreshold,
-		FailSiteAt:     sim.Duration(math.Round(*failSiteAt * float64(sim.Second))),
-		FailSite:       *failSite,
-
-		Adaptive:       *adaptive,
-		GuaranteedOnly: *guaranteedOnly,
-		ReleaseAt:      sim.Duration(math.Round(*releaseAt * float64(sim.Second))),
-
-		CPUBound:       *cpuBound,
-		CPUBytesPerSec: *cpuThroughput,
-
-		Live:       *live,
-		Channels:   *channels,
-		HoldMean:   sim.Duration(math.Round(*holdMean * float64(sim.Second))),
-		VodStreams: *vodStreams,
-
-		Trace: *traceOut != "",
-	}
+	cfg.Trace = *traceOut != ""
 	if *metricsOut != "" {
-		cfg.MetricsEvery = sim.Duration(math.Round(*metricsEvery * float64(sim.Second)))
+		cfg.MetricsEvery = metricsEvery
 		if cfg.MetricsEvery <= 0 {
-			fmt.Fprintln(os.Stderr, "pegload: -metrics-every must be positive with -metrics-out")
-			os.Exit(2)
+			die(2, "-metrics-every must be positive with -metrics-out")
 		}
 	}
 	switch *pattern {
@@ -256,92 +227,28 @@ func main() {
 	case "vod":
 		cfg.Pattern = loadgen.VoD
 	default:
-		fmt.Fprintf(os.Stderr, "pegload: unknown pattern %q\n", *pattern)
-		os.Exit(2)
+		die(2, fmt.Sprintf("unknown pattern %q", *pattern))
 	}
-	if *cluster && *cpuBound {
-		fmt.Fprintln(os.Stderr, "pegload: -cluster does not support -cpu-bound (cluster nodes do not enable CPU admission)")
-		os.Exit(2)
+	if err := cfg.Validate(); err != nil {
+		die(2, err)
 	}
-	if *partitions != 0 && !*cluster && !*metroMode && !*live {
-		fmt.Fprintln(os.Stderr, "pegload: -partitions requires -cluster, -metro or -live (only the global-control topologies shard)")
-		os.Exit(2)
-	}
-	if *metroMode && (*cluster || *adaptive || *cpuBound) {
-		fmt.Fprintln(os.Stderr, "pegload: -metro is its own topology; drop -cluster/-adaptive/-cpu-bound")
-		os.Exit(2)
-	}
-	if *live && (*cluster || *metroMode || *adaptive || *cpuBound || *fromStorage) {
-		fmt.Fprintln(os.Stderr, "pegload: -live is its own topology; drop -cluster/-metro/-adaptive/-cpu-bound/-from-storage")
-		os.Exit(2)
-	}
-	if (*unicastAblation || *expectJoins || *expectSubtreeDegraded || *minFanoutRatio > 0) && !*live {
-		fmt.Fprintln(os.Stderr, "pegload: -unicast-ablation/-expect-joins/-expect-subtree-degraded/-min-fanout-ratio require -live")
-		os.Exit(2)
-	}
-	if *spillAblation && !*metroMode {
-		fmt.Fprintln(os.Stderr, "pegload: -spill-ablation requires -metro (nothing to spill without a federation)")
-		os.Exit(2)
-	}
-	if *spillAblation && *noSpill {
-		fmt.Fprintln(os.Stderr, "pegload: -spill-ablation runs the -no-spill twin itself; drop -no-spill")
-		os.Exit(2)
-	}
-	if *noCache {
-		cfg.CacheMB = 0
-	}
-	if *cacheAblation && cfg.CacheMB == 0 {
-		fmt.Fprintln(os.Stderr, "pegload: -cache-ablation needs a cache to ablate (set -cache-mb, drop -no-cache)")
-		os.Exit(2)
-	}
-	if *minCacheRatio > 0 && !*cacheAblation {
-		fmt.Fprintln(os.Stderr, "pegload: -min-cache-ratio requires -cache-ablation (nothing to compare against)")
-		os.Exit(2)
-	}
-
-	var ablation loadgen.Result
-	if *cacheAblation {
-		// The ablation twin runs first: the identical scenario with the
-		// RAM tier off, so the scoreboard can state what the cache bought.
-		// Telemetry stays off for the twin — the emitted trace and time
-		// series describe the measured run only.
-		acfg := cfg
-		acfg.CacheMB = 0
-		acfg.Trace = false
-		acfg.MetricsEvery = 0
-		ablation = loadgen.Build(acfg).Run()
-	}
-	var unicastTwin loadgen.Result
-	if *unicastAblation {
-		// Same twin discipline: the identical live scenario with one
-		// circuit per viewer instead of the shared tree, so the
-		// scoreboard can state what switch-level multicast bought.
-		acfg := cfg
-		acfg.Unicast = true
-		acfg.Trace = false
-		acfg.MetricsEvery = 0
-		unicastTwin = loadgen.Build(acfg).Run()
-	}
-	var spillTwin loadgen.Result
-	if *spillAblation {
-		// Same twin discipline for the federation: the identical metro
-		// with spill admission off, so the scoreboard can state what the
-		// trunks bought.
-		acfg := cfg
-		acfg.NoSpill = true
-		acfg.Trace = false
-		acfg.MetricsEvery = 0
-		spillTwin = loadgen.Build(acfg).Run()
+	var twin loadgen.Result
+	if *ablate != "" {
+		tcfg, err := cfg.Twin(*ablate)
+		if err != nil {
+			die(2, err)
+		}
+		twin = loadgen.Build(tcfg).Run()
+	} else if *minRatio > 0 {
+		die(2, "-min-ratio requires -ablate (nothing to compare against)")
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pegload:", err)
-			os.Exit(1)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pegload: cpuprofile:", err)
-			os.Exit(1)
+		if err != nil {
+			die(1, "cpuprofile:", err)
 		}
 		defer f.Close()
 	}
@@ -349,19 +256,6 @@ func main() {
 	res := sc.Run()
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pegload:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // surface live retention, not transient garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pegload: memprofile:", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
 	writeOut := func(path, what string, emit func(io.Writer) error) {
 		f, err := os.Create(path)
@@ -372,9 +266,14 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pegload: %s: %v\n", what, err)
-			os.Exit(1)
+			die(1, what+":", err)
 		}
+	}
+	if *memProfile != "" {
+		writeOut(*memProfile, "memprofile", func(w io.Writer) error {
+			runtime.GC() // surface live retention, not transient garbage
+			return pprof.WriteHeapProfile(w)
+		})
 	}
 	if *metricsOut != "" {
 		writeOut(*metricsOut, "metrics-out", sc.WriteMetrics)
@@ -382,23 +281,14 @@ func main() {
 	if *traceOut != "" {
 		writeOut(*traceOut, "trace-out", sc.WriteTrace)
 	}
-	if *cacheAblation {
-		res.AblationStreams = ablation.StorageStreams
-		if ablation.StorageStreams > 0 {
-			res.CacheRatio = float64(res.StorageStreams) / float64(ablation.StorageStreams)
-		}
-	}
-	if *spillAblation {
-		res.SpillAblationAdmitted = spillTwin.Admitted
-	}
-	if *unicastAblation {
-		res.UnicastAblationJoins = unicastTwin.LiveJoins
+	var got, base float64
+	if *ablate != "" {
+		got, base = res.Ablate(*ablate, twin)
 	}
 	if *asJSON {
 		out, err := res.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pegload:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		fmt.Println(string(out))
 	} else {
@@ -420,12 +310,20 @@ func main() {
 		if res.Underruns != 0 {
 			fail("%d buffer underruns among admitted streams", res.Underruns)
 		}
-		if (*fromStorage || *cluster || *adaptive || *cpuBound || *metroMode) && res.DiskBytesRead == 0 {
+		if cfg.StorageBacked() && res.DiskBytesRead == 0 {
 			fail("storage-backed run read nothing off the disks")
 		}
 		if res.DeadlineMisses != 0 {
 			fail("%d EDF deadline misses among admitted streams' CPU domains", res.DeadlineMisses)
 		}
+		if *ablate != "" && got <= base {
+			fail("%s ablation: measured run reached %v vs %v in its twin (the mechanism bought nothing)",
+				*ablate, got, base)
+		}
+	}
+	if *minRatio > 0 && got < *minRatio*base {
+		fail("%s ablation: measured run reached %v vs %v in its twin (%.2fx), want >= %.1fx",
+			*ablate, got, base, got/base, *minRatio)
 	}
 	if *minStorage > 0 && res.StorageStreams < *minStorage {
 		fail("only %d disk-backed streams up, want >= %d", res.StorageStreams, *minStorage)
@@ -433,17 +331,8 @@ func main() {
 	if *expectRefusals && res.StorageRefused == 0 {
 		fail("expected storage admission to refuse titles; it admitted everything")
 	}
-	if *minActiveNodes > 0 {
-		active := 0
-		for _, na := range res.NodeAdmissions {
-			if na > 0 {
-				active++
-			}
-		}
-		if active < *minActiveNodes {
-			fail("streams admitted on %d node(s) %v, want >= %d",
-				active, res.NodeAdmissions, *minActiveNodes)
-		}
+	if n := active(res.NodeAdmissions); n < *minActiveNodes {
+		fail("streams admitted on %d node(s) %v, want >= %d", n, res.NodeAdmissions, *minActiveNodes)
 	}
 	if *expectReplication && res.ReplicasCompleted == 0 {
 		fail("expected a reactive replication to complete; %d triggered, %d completed",
@@ -460,21 +349,8 @@ func main() {
 		fail("expected the site failure to re-admit sessions on survivors; recovered=0 dropped=%d",
 			res.SiteDropped)
 	}
-	if *minActiveSites > 0 {
-		active := 0
-		for _, c := range res.SiteServed {
-			if c > 0 {
-				active++
-			}
-		}
-		if active < *minActiveSites {
-			fail("sessions served from %d site(s) %v, want >= %d",
-				active, res.SiteServed, *minActiveSites)
-		}
-	}
-	if *spillAblation && *check && res.Admitted <= res.SpillAblationAdmitted {
-		fail("spill admitted %d sessions vs %d without (federation bought nothing)",
-			res.Admitted, res.SpillAblationAdmitted)
+	if n := active(res.SiteServed); n < *minActiveSites {
+		fail("sessions served from %d site(s) %v, want >= %d", n, res.SiteServed, *minActiveSites)
 	}
 	if *expectJoins && res.LiveJoins == 0 {
 		fail("expected live viewers to be admitted; every join was refused")
@@ -486,20 +362,12 @@ func main() {
 		fail("fan-out delivered %.2f copies per transmitted copy, want >= %.1f",
 			res.FanoutRatio, *minFanoutRatio)
 	}
-	if *unicastAblation && *check && res.LiveJoins <= res.UnicastAblationJoins {
-		fail("multicast admitted %d joins vs %d unicast (the tree bought nothing)",
-			res.LiveJoins, res.UnicastAblationJoins)
-	}
 	if *expectDegraded && res.DegradeEvents == 0 {
 		fail("expected sessions to degrade instead of refuse; no tier drops happened")
 	}
 	if *expectRestored && res.RestoreEvents == 0 {
 		fail("expected freed capacity to restore degraded sessions; %d degrade events, 0 restores",
 			res.DegradeEvents)
-	}
-	if *minCacheRatio > 0 && res.CacheRatio < *minCacheRatio {
-		fail("cached run held %d streams vs %d without the cache (%.2fx), want >= %.1fx",
-			res.StorageStreams, res.AblationStreams, res.CacheRatio, *minCacheRatio)
 	}
 	if *expectCPURefusals {
 		// The cpu-bound proof is strict ordering: the CPU said no while
@@ -519,4 +387,21 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// active counts the non-zero entries of a per-node or per-site census.
+func active(census []int64) int {
+	n := 0
+	for _, c := range census {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// die reports a usage (code 2) or run (code 1) error and exits.
+func die(code int, msg ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"pegload:"}, msg...)...)
+	os.Exit(code)
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // buildAdaptive constructs the site, preloads titles onto the servers'
@@ -34,49 +33,31 @@ import (
 func (sc *Scenario) buildAdaptive() {
 	cfg := sc.cfg
 	n, m := cfg.Workstations, cfg.StreamsPerWS
-
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.LinkRate = cfg.LinkRate
-	siteCfg.CellAccurate = cfg.CellAccurate
-	siteCfg.Ports = n + cfg.Servers
-	sc.attachSite(core.NewSite(siteCfg))
-
-	viewers := make([]*core.Endpoint, n)
-	for i := 0; i < n; i++ {
-		viewers[i] = sc.site.Attach(fmt.Sprintf("viewer%d", i))
-	}
-
-	framesPerRound := int64(cfg.FrameHz) * int64(cfg.Round) / int64(sim.Second)
-	roundBytes := framesPerRound * int64(cfg.FrameBytes)
-	titleBytes := int64(cfg.TitleRounds) * roundBytes
+	sc.attachSite(n + cfg.Servers)
+	viewers := sc.attachViewers(sc.site)
 	// 64 KiB segments stripe into 16 KiB per-disk chunks, so a degraded
-	// window really costs the disks less; see Config.Adaptive.
-	segSize := int64(64 << 10)
-	titles := cfg.Servers * m
-	perTitle := (titleBytes+segSize-1)/segSize + 1
-	nseg := (int64(titles)*perTitle)/int64(cfg.Servers) + 16
-
-	sc.Servers = make([]*core.StorageServer, cfg.Servers)
-	for s := range sc.Servers {
-		sc.Servers[s] = sc.site.NewStorageServer(fmt.Sprintf("vod%d", s), int(segSize), nseg)
+	// window really costs the disks less; see the adaptive row's frames.
+	for _, ss := range sc.addServers(sc.site, "vod", cfg.Servers, m, 64<<10, 16) {
 		if cfg.CPUBound {
-			sc.Servers[s].EnableCPU(core.CPUConfig{
-				BytesPerSec: cfg.CPUBytesPerSec,
-				PerFrame:    cfg.CPUPerFrame,
-			})
+			ss.EnableCPU(core.CPUConfig{BytesPerSec: cfg.CPUBytesPerSec, PerFrame: cpuPerFrame})
 		}
 	}
-	sc.preloadTitles(titles, titleBytes)
+	titles := cfg.Servers * m
+	sc.preloadTitles(titles)
 
 	// One unicast request per (viewer, slot), spread across the catalog.
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
 			t := (i*m + j) % titles
-			st := sc.addStream(sc.Servers[t%cfg.Servers].Net, []*core.Endpoint{viewers[i]}, i*m+j)
-			st.server = sc.Servers[t%cfg.Servers]
-			st.title = titleName(t)
-			st.establish()
+			sc.serveTitle(sc.Servers[t%cfg.Servers], t, []*core.Endpoint{viewers[i]}, i*m+j)
 		}
+	}
+}
+
+// startAdaptive schedules the mid-run release of an Adaptive run.
+func (sc *Scenario) startAdaptive() {
+	if sc.cfg.Adaptive && sc.cfg.ReleaseAt > 0 && sc.cfg.ReleaseEvery > 0 {
+		sc.site.Clock.CallAfter(sc.cfg.ReleaseAt, sc.releaseSome)
 	}
 }
 
@@ -92,6 +73,45 @@ func (sc *Scenario) releaseSome() {
 		if k++; k%sc.cfg.ReleaseEvery == 0 {
 			if err := st.Stop(); err != nil {
 				panic(fmt.Sprintf("loadgen: adaptive release: %v", err))
+			}
+		}
+	}
+}
+
+// collectAdaptive fills the QoS-session columns, and for CPUBound runs
+// the CPU columns.
+func (sc *Scenario) collectAdaptive(r *Result) {
+	for _, st := range sc.streams {
+		if st.sess == nil {
+			continue
+		}
+		r.SessionsUp++
+		if st.sess.Degraded() {
+			r.SessionsDegraded++
+		}
+	}
+	r.DegradeEvents = sc.site.QoSStats.Degraded
+	r.RestoreEvents = sc.site.QoSStats.Restored
+	if !sc.cfg.CPUBound {
+		return
+	}
+	r.CPURefused = int(sc.site.QoSStats.RefusedLeg[core.LegCPU])
+	for _, ss := range sc.Servers {
+		if cpu := ss.CPU; cpu != nil {
+			r.DeadlineMisses += cpu.Stats.DeadlineMisses
+		}
+		// Worst-node load comes off the probe surface — the same
+		// per-leg headrooms replica selection ranks by — rather than
+		// per-package capacity getters.
+		rep := sc.site.Probe(core.SessionSpec{CM: ss.CM, CPU: ss.CPU})
+		if lr := rep.Leg(core.LegCPU); lr.Present {
+			if f := 1 - lr.Headroom; f > r.CPUReserved {
+				r.CPUReserved = f
+			}
+		}
+		if lr := rep.Leg(core.LegDisk); lr.Present {
+			if f := 1 - lr.Headroom; f > r.DiskCommitted {
+				r.DiskCommitted = f
 			}
 		}
 	}

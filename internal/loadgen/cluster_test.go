@@ -130,8 +130,8 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("site dead after failover: streams=%d delivered=%d",
 			r.StorageStreams, r.FramesDelivered)
 	}
-	for _, req := range sc.Requests() {
-		if req.st != nil && !req.st.Released() && req.st.Node().Failed() {
+	for _, req := range sc.requests {
+		if req.sess != nil && !req.sess.Closed() && req.sess.Node().Failed() {
 			t.Fatal("live request still points at the dead node")
 		}
 	}

@@ -221,7 +221,7 @@ func TestPayloadIntegrityIntervalCache(t *testing.T) {
 	titleSize := storageTitleSize(cfg)
 	roundBytes := titleSize / int64(cfg.TitleRounds)
 	type snapshot struct {
-		req    *clusterReq
+		req    *request
 		off    int64
 		window []byte
 		sum    uint32
@@ -231,10 +231,10 @@ func TestPayloadIntegrityIntervalCache(t *testing.T) {
 	// title that has a cache-served viewer.
 	sc.site.Clock.CallAfter(cfg.Duration/2, func() {
 		for _, req := range sc.requests {
-			if req.st == nil || !req.st.CM().CacheServed() {
+			if req.sess == nil || !req.sess.CM().CacheServed() {
 				continue
 			}
-			cm := req.st.Node().SS.CM
+			cm := req.sess.Node().SS.CM
 			for k := int64(0); k < int64(cfg.TitleRounds); k++ {
 				if w, ok := cm.WakeWindow(req.title, k*roundBytes); ok {
 					snap = &snapshot{req, k * roundBytes, w, crc32.ChecksumIEEE(w)}
@@ -261,15 +261,15 @@ func TestPayloadIntegrityIntervalCache(t *testing.T) {
 	if crc32.ChecksumIEEE(snap.window) != snap.sum {
 		t.Fatalf("wake window of %s changed after its viewers played it", snap.req.title)
 	}
-	data := readTitle(t, sc.site.Sim, snap.req.st.Node().SS, snap.req.title, titleSize)
+	data := readTitle(t, sc.site.Sim, snap.req.sess.Node().SS, snap.req.title, titleSize)
 	if !bytes.Equal(snap.window, data[snap.off:snap.off+roundBytes]) {
 		t.Fatalf("wake window of %s at %d is not the title's bytes", snap.req.title, snap.off)
 	}
 
 	byVCI := make(map[atm.VCI]servedTitle)
 	for _, req := range sc.requests {
-		if req.st != nil {
-			byVCI[req.vci] = servedTitle{req.st.Node().SS, req.title}
+		if req.sess != nil {
+			byVCI[req.vci] = servedTitle{req.sess.Node().SS, req.title}
 		}
 	}
 	checkFrames(t, sc.site.Sim, cfg, titleSize, *frames, byVCI)

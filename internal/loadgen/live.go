@@ -20,11 +20,10 @@ package loadgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
-	"repro/internal/devices"
-	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vodsite"
@@ -35,60 +34,10 @@ func liveKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "live", Name: name}
 }
 
-// liveSource is one channel's encoder: a CBR frame generator that
-// transmits each frame once onto the shared tree (or once per viewer
-// circuit in the unicast ablation). The vcis and viewers fields are
-// written only in global context by the churn engine; the tick reads
-// them from its partition between barriers.
-type liveSource struct {
-	sim     *sim.Sim
-	out     *fabric.Link
-	period  sim.Duration
-	payload []byte
-	hdr     frameHeader
-	seq     uint32
-
-	// vcis are the circuits to transmit on: the tree's single VCI, or
-	// one per live viewer in the unicast ablation.
-	vcis []atm.VCI
-	// viewers is the channel's current viewer count (multicast only),
-	// used to score the copies the switch fan-out saved the source.
-	viewers int
-
-	sent  *telemetry.Counter // frames transmitted (per copy)
-	cells *telemetry.Counter // cells transmitted (per copy)
-	saved *telemetry.Counter // cells the switch replicated for free
-}
-
-func (s *liveSource) start(phase sim.Duration) {
-	s.sim.After(phase, s.tick)
-}
-
-func (s *liveSource) tick() {
-	s.sim.After(s.period, s.tick)
-	hdr := s.hdr.stamp(s.sim.Now(), s.seq)
-	s.seq++
-	for _, vci := range s.vcis {
-		cells, err := atm.SegmentHeader(vci, devices.UUData, hdr, s.payload)
-		if err != nil {
-			panic(fmt.Sprintf("loadgen: unsegmentable live frame: %v", err))
-		}
-		s.out.SendBurst(cells)
-		s.sent.Inc()
-		s.cells.Add(int64(len(cells)))
-		if s.viewers > 1 {
-			// The tree carries one copy; the switch manufactures the
-			// other viewers-1 for free. The unicast ablation never sets
-			// viewers, so its saved column is honestly zero.
-			s.saved.Add(int64(s.viewers-1) * int64(len(cells)))
-		}
-	}
-}
-
 // liveChannel is one on-air channel plus its encoder.
 type liveChannel struct {
 	b   *core.Broadcast
-	src *liveSource
+	src *source
 }
 
 // liveJoinPlan is one pre-sampled churn event: viewer v joins channel
@@ -100,60 +49,18 @@ type liveJoinPlan struct {
 	ch, v    int
 }
 
-// liveCounters are one partition's share of the live scoreboard.
-type liveCounters struct {
-	sim                *sim.Sim
-	sent, cells, saved *telemetry.Counter
-}
-
-func (sc *Scenario) liveFor(s *sim.Sim) *liveCounters {
-	for _, c := range sc.liveCtrs {
-		if c.sim == s {
-			return c
-		}
-	}
-	reg, p := sc.metrics(), s.Partition()
-	c := &liveCounters{
-		sim:   s,
-		sent:  reg.Counter(p, trafficKey("frames_sent")),
-		cells: reg.Counter(p, liveKey("source_cells")),
-		saved: reg.Counter(p, liveKey("fanout_saved")),
-	}
-	sc.liveCtrs = append(sc.liveCtrs, c)
-	return c
-}
-
-// Channels exposes the on-air broadcasts for assertions.
-func (sc *Scenario) Channels() []*core.Broadcast {
-	out := make([]*core.Broadcast, len(sc.channels))
-	for i, lc := range sc.channels {
-		out[i] = lc.b
-	}
-	return out
-}
-
 // buildLive constructs the site, puts every channel on the air, admits
 // the background VoD sessions, and pre-samples the churn schedule.
 // Joins are scheduled when Run starts.
 func (sc *Scenario) buildLive() {
 	cfg := sc.cfg
 	n := cfg.Workstations
-
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.LinkRate = cfg.LinkRate
-	siteCfg.CellAccurate = cfg.CellAccurate
-	siteCfg.Partitions = cfg.Partitions
-	siteCfg.Ports = n + cfg.Channels + cfg.Servers
-	sc.attachSite(core.NewSite(siteCfg))
+	sc.attachSite(n + cfg.Channels + cfg.Servers)
 	// Sources pay for their uplink: the multicast tree charges each
 	// camera's once per channel, the unicast ablation once per viewer —
 	// the admission asymmetry the scoreboard exists to show.
 	sc.site.Signalling.EnableUplinkAdmission()
-
-	viewers := make([]*core.Endpoint, n)
-	for i := 0; i < n; i++ {
-		viewers[i] = sc.site.Attach(fmt.Sprintf("viewer%d", i))
-	}
+	viewers := sc.attachViewers(sc.site)
 	sc.liveViewers = viewers
 
 	// Background VoD: unicast disk-backed Guaranteed sessions on the
@@ -161,24 +68,12 @@ func (sc *Scenario) buildLive() {
 	// carries. Their underruns must stay zero no matter what the live
 	// churn does to the shared budgets.
 	if cfg.VodStreams > 0 {
-		framesPerRound := int64(cfg.FrameHz) * int64(cfg.Round) / int64(sim.Second)
-		roundBytes := framesPerRound * int64(cfg.FrameBytes)
-		titleBytes := int64(cfg.TitleRounds) * roundBytes
-		segSize := int64(64 << 10)
 		titles := 2 * cfg.Servers
-		perTitle := (titleBytes+segSize-1)/segSize + 1
-		nseg := (int64(titles)*perTitle)/int64(cfg.Servers) + 16
-		sc.Servers = make([]*core.StorageServer, cfg.Servers)
-		for s := range sc.Servers {
-			sc.Servers[s] = sc.site.NewStorageServer(fmt.Sprintf("vod%d", s), int(segSize), nseg)
-		}
-		sc.preloadTitles(titles, titleBytes)
+		sc.addServers(sc.site, "vod", cfg.Servers, 2, 64<<10, 16)
+		sc.preloadTitles(titles)
 		for v := 0; v < cfg.VodStreams; v++ {
 			t := v % titles
-			st := sc.addStream(sc.Servers[t%cfg.Servers].Net, []*core.Endpoint{viewers[v%n]}, v)
-			st.server = sc.Servers[t%cfg.Servers]
-			st.title = titleName(t)
-			st.establish()
+			sc.serveTitle(sc.Servers[t%cfg.Servers], t, []*core.Endpoint{viewers[v%n]}, v)
 		}
 	}
 
@@ -199,16 +94,9 @@ func (sc *Scenario) buildLive() {
 		if err != nil {
 			panic(fmt.Sprintf("loadgen: channel ch%d refused at open: %v", c, err))
 		}
-		lv := sc.liveFor(cam.Sim)
-		src := &liveSource{
-			sim:     cam.Sim,
-			out:     cam.ToSwitch,
-			period:  period,
-			payload: sc.synthFrame(),
-			sent:    lv.sent,
-			cells:   lv.cells,
-			saved:   lv.saved,
-		}
+		src := sc.newSource(cam.Sim, cam.ToSwitch, period)
+		reg, p := sc.plane.Metrics(), cam.Sim.Partition()
+		src.cells, src.saved = reg.Counter(p, liveKey("source_cells")), reg.Counter(p, liveKey("fanout_saved"))
 		if !cfg.Unicast {
 			src.vcis = []atm.VCI{b.VCI()}
 			// The tree's VCI is fixed for the channel's lifetime: every
@@ -264,7 +152,7 @@ func (sc *Scenario) liveJoin(p liveJoinPlan) {
 		lc.src.viewers = lc.b.Viewers()
 	}
 	vci := j.VCI()
-	sc.clock().CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
+	sc.plane.Clock().CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
 }
 
 // liveLeave executes one viewer's departure: the broadcast prunes the
@@ -276,12 +164,7 @@ func (sc *Scenario) liveLeave(lc *liveChannel, ep *core.Endpoint, j *core.Join, 
 	}
 	if sc.cfg.Unicast {
 		ep.Demux.Unregister(vci)
-		for i, v := range lc.src.vcis {
-			if v == vci {
-				lc.src.vcis = append(lc.src.vcis[:i], lc.src.vcis[i+1:]...)
-				break
-			}
-		}
+		lc.src.vcis = slices.DeleteFunc(lc.src.vcis, func(v atm.VCI) bool { return v == vci })
 	} else {
 		lc.src.viewers = lc.b.Viewers()
 	}
@@ -296,6 +179,22 @@ func (sc *Scenario) startLive() {
 	}
 	for _, p := range sc.livePlan {
 		p := p
-		sc.clock().CallAfter(p.at, func() { sc.liveJoin(p) })
+		sc.plane.Clock().CallAfter(p.at, func() { sc.liveJoin(p) })
+	}
+}
+
+// collectLive fills the live-broadcast columns.
+func (sc *Scenario) collectLive(r *Result) {
+	lv := sc.site.LiveStats
+	r.Broadcasts = int(lv.Broadcasts)
+	r.LiveJoins = lv.Joins
+	r.LiveLeaves = lv.Leaves
+	r.LiveJoinRefused = lv.JoinRefused
+	r.SubtreeDegraded = lv.SubtreeDegraded
+	r.SubtreeRestored = lv.SubtreeRestored
+	r.LiveSourceCells = sc.plane.Metrics().CounterValue(liveKey("source_cells"))
+	r.FanoutCellsSaved = sc.plane.Metrics().CounterValue(liveKey("fanout_saved"))
+	if r.LiveSourceCells > 0 {
+		r.FanoutRatio = float64(r.LiveSourceCells+r.FanoutCellsSaved) / float64(r.LiveSourceCells)
 	}
 }

@@ -17,6 +17,12 @@
 // (-from-storage, -cluster), and §3.3's QoS-managed sessions — CPU
 // reservations included — under the negotiate-down policy (-adaptive,
 // -cpu-bound).
+//
+// Scenarios are data: one row per topology in the scenarios table
+// (scenario.go) declares how a Config selects it, its defaults, the
+// options it reads, whether it is storage-backed, the ablation twins it
+// supports and its build, start and collect hooks. Config.Validate,
+// Build, Run and the scoreboard all read the rows.
 package loadgen
 
 import (
@@ -30,6 +36,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/devices"
+	"repro/internal/disk"
 	"repro/internal/fabric"
 	"repro/internal/fileserver"
 	"repro/internal/metro"
@@ -66,14 +73,24 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("pattern(%d)", int(p))
 }
 
-// Config parameterises a load-generation scenario.
+// cpuPerFrame is a CPUBound node's fixed per-frame protocol cost. It
+// does not shrink with a degraded tier, which is what keeps the CPU —
+// not the disks — the binding constraint even when every Adaptive
+// session sits at its floor.
+const cpuPerFrame = sim.Millisecond
+
+// Config parameterises a load-generation scenario. The topology
+// booleans (FromStorage, Cluster, Metro, Live, Adaptive/CPUBound) and
+// Pattern select one row of the scenario table (scenario.go); every
+// other option must be one that row reads (see Validate), and zero
+// options take the row's defaults.
 type Config struct {
 	Pattern      Pattern
 	Workstations int // N stations (mesh: senders+receivers; vod: viewers)
 	StreamsPerWS int // M streams admitted per station
 
-	// Servers is the storage-server count for VoD (default: one per 16
-	// workstations). Each server publishes StreamsPerWS titles.
+	// Servers is the storage-server count (VoD default: one per 16
+	// workstations).
 	Servers int
 
 	// FrameBytes is the AAL5 payload per frame (default 960; min 16 for
@@ -100,28 +117,22 @@ type Config struct {
 	// arrays, served through the continuous-media round scheduler:
 	// admission becomes the conjunction of link (netsig) and disk
 	// (fileserver.CMService) guarantees, and every frame sent was read
-	// off the striped array one round ahead. Implies Pattern == VoD.
+	// off the striped array one round ahead.
 	FromStorage bool
 
-	// Round is the storage scheduler period (default 2 s); it must be a
-	// whole number of frame periods. TitleRounds is the stored length of
-	// each title in rounds (default 4); playout loops over it.
+	// Round is the storage scheduler period; it must be a whole number
+	// of frame periods. TitleRounds is the stored length of each title
+	// in rounds; playout loops over it.
 	Round       sim.Duration
 	TitleRounds int
 
-	// Cluster runs the multi-server VoD site: Servers storage nodes
-	// under an internal/vodsite controller, a Zipf-ranked title catalog
-	// placed across them, and every request admitted on whichever
-	// replica's link∧disk budgets have room (unicast: one circuit per
-	// viewer request, unlike the shared fan-out of plain VoD). Requests
-	// a hot title over-subscribes are refused, which triggers reactive
-	// replication; refused requests retry when a new replica joins the
-	// catalog. Implies storage-backed serving; Round defaults to 1 s.
+	// Cluster runs the multi-server VoD site (cluster.go): Servers
+	// storage nodes under an internal/vodsite controller.
 	Cluster bool
 
-	// Titles is the catalog size (default 2×Servers). ZipfS is the
-	// popularity exponent of both placement and request sampling
-	// (default 1.3); Seed seeds the request sampler (default 1).
+	// Titles is the catalog size. ZipfS is the popularity exponent of
+	// both placement and request sampling; Seed seeds the request
+	// sampler.
 	Titles int
 	ZipfS  float64
 	Seed   int64
@@ -139,16 +150,11 @@ type Config struct {
 	FailNodeAt sim.Duration
 	FailNode   int
 
-	// Metro federates Sites vodsite sites behind a two-tier fabric
-	// (internal/metro) and homes every viewer on site 0 — the flash-
-	// crowd scenario: requests the home site cannot carry spill to
-	// neighbor sites across the core switch, with the inter-site trunk
-	// as an explicit admission leg. Implies storage-backed serving;
-	// each site gets Servers nodes and the catalog spreads over the
-	// sites SiteReplicas wide.
+	// Metro federates Sites vodsite sites of Servers nodes each behind a
+	// two-tier fabric (metro.go) — the flash-crowd scenario.
 	Metro bool
-	// Sites is the federation size (default 3). SiteReplicas is how
-	// many sites hold each title's bytes (default 2, capped at Sites).
+	// Sites is the federation size. SiteReplicas is how many sites hold
+	// each title's bytes (capped at Sites).
 	Sites        int
 	SiteReplicas int
 	// NoSpill runs the single-site ablation: home-site refusals are
@@ -162,60 +168,35 @@ type Config struct {
 	FailSiteAt     sim.Duration
 	FailSite       int
 
-	// Adaptive runs the degrade-instead-of-refuse scenario: every
-	// request is one unicast disk-backed stream opened as an
-	// Adaptive-class core.Session, so an over-subscribed site scales
-	// sessions down the tier ladder to admit more streams instead of
-	// refusing, and restores them as capacity frees. Implies
-	// storage-backed VoD; Round defaults to 500 ms and FrameBytes to
-	// 19200 (windows must span many stripe chunks for a tier drop to
-	// shrink the per-disk cost).
+	// Adaptive runs the degrade-instead-of-refuse scenario
+	// (adaptive.go): every request is one unicast disk-backed stream
+	// opened as an Adaptive-class core.Session.
 	Adaptive bool
 
 	// GuaranteedOnly forces every session to the Guaranteed class —
 	// the ablation an Adaptive scoreboard is compared against.
 	GuaranteedOnly bool
 
-	// CPUBound runs the CPU-constrained scenario: unicast disk-backed
-	// streams as in Adaptive mode, but every serving node's Nemesis CPU
-	// is admission-controlled (core.NodeCPU) with a deliberately small
-	// protocol-processing throughput and small per-stream rates, so the
-	// processor — not the disks or links — is the scarce resource.
-	// Admission is then the full link ∧ uplink ∧ disk ∧ CPU
-	// conjunction: a Guaranteed run refuses on CPU strictly before any
-	// disk budget fills, an Adaptive run (-adaptive) walks sessions
-	// down the tier ladder on a CPU refusal exactly as it does for
-	// links and disks, and every admitted stream's protocol domain must
-	// meet every EDF deadline.
+	// CPUBound runs the CPU-constrained scenario on the Adaptive
+	// topology (adaptive.go): every serving node's CPU is
+	// admission-controlled, so the processor — not the disks or links —
+	// is the scarce resource. It combines with Adaptive.
 	CPUBound bool
 
 	// CPUBytesPerSec is the nodes' protocol-processing throughput in
-	// bytes/s (default 1 MiB/s — CPU-bound on purpose). CPUPerFrame is
-	// the fixed per-frame protocol cost (default 1 ms); it does not
-	// shrink with a degraded tier, which is what keeps the CPU — not
-	// the disks — the binding constraint even when every Adaptive
-	// session sits at its floor.
+	// bytes/s; each frame also costs cpuPerFrame.
 	CPUBytesPerSec int64
-	CPUPerFrame    sim.Duration
 
-	// Live runs the live-broadcast flash crowd: Channels switch-level
-	// multicast channels on the air, a Zipf-popularity churn of viewer
-	// joins and leaves (Workstations × StreamsPerWS join attempts, hold
-	// times exponential around HoldMean), and VodStreams disk-backed
-	// Guaranteed VoD sessions sharing the viewer links and server disks.
-	// A join the link budget refuses degrades that channel's subtree
-	// down the tier ladder instead of refusing. Shards: Partitions is
-	// allowed, with the usual determinism contract.
+	// Live runs the live-broadcast flash crowd (live.go):
+	// Workstations × StreamsPerWS viewer join attempts on Channels
+	// multicast channels, beside VodStreams disk-backed VoD sessions.
 	Live bool
-	// Channels is the number of live channels (default 4). Each gets
-	// its own camera port and one uplink reservation however many
-	// viewers join.
+	// Channels is the number of live channels. Each gets its own camera
+	// port and one uplink reservation however many viewers join.
 	Channels int
-	// HoldMean is the mean viewer hold time (default: a quarter of
-	// Duration).
+	// HoldMean is the mean viewer hold time.
 	HoldMean sim.Duration
-	// VodStreams is the background VoD population (default
-	// Workstations/2; negative disables).
+	// VodStreams is the background VoD population (negative disables).
 	VodStreams int
 	// Unicast is the live ablation twin: every viewer gets their own
 	// circuit from the camera — uplink charged per viewer, one
@@ -224,9 +205,8 @@ type Config struct {
 	Unicast bool
 
 	// ReleaseAt closes every ReleaseEvery'th admitted stream that far
-	// into an Adaptive run (defaults: half the duration, every 3rd;
-	// ReleaseEvery < 0 disables), freeing budget the site uses to
-	// restore degraded survivors.
+	// into an Adaptive run (ReleaseEvery < 0 disables), freeing budget
+	// the site uses to restore degraded survivors.
 	ReleaseAt    sim.Duration
 	ReleaseEvery int
 
@@ -235,8 +215,8 @@ type Config struct {
 	// spread round-robin, each partition runs on its own goroutine, and
 	// the run is deterministic for a given (Seed, Partitions) pair — with
 	// Partitions == 1 bit-identical to the serial kernel. Zero keeps the
-	// serial kernel. Requires Cluster mode, where every stream is
-	// unicast and node-owned; the shared-fabric patterns stay serial.
+	// serial kernel. Only the topologies that keep control-plane verbs
+	// in global context read it; the shared-fabric patterns stay serial.
 	Partitions int
 
 	// FastDisks swaps the 1994 drive mechanics for flash-era ones
@@ -245,13 +225,11 @@ type Config struct {
 	// session cluster runs turn.
 	FastDisks bool
 
-	// CacheMB sizes each serving node's RAM buffer tier in MiB
-	// (storage-backed modes; 0 disables). With a cache, a request
-	// trailing another viewer of the same title is admitted against the
-	// leader's wake in memory — charging no disk round budget — so a
-	// Zipf-hot catalog serves far more streams than the disk arms alone
-	// admit. In cluster mode, requests the disks refuse at build time
-	// are retried each round once a leader's wake becomes resident.
+	// CacheMB sizes each serving node's RAM buffer tier in MiB (0
+	// disables). With a cache, a request trailing another viewer of the
+	// same title is admitted against the leader's wake in memory —
+	// charging no disk round budget — so a Zipf-hot catalog serves far
+	// more streams than the disk arms alone admit.
 	CacheMB int
 
 	// Trace switches per-session lifecycle tracing on (see
@@ -263,181 +241,6 @@ type Config struct {
 	// sampler (0 disables; see Scenario.WriteMetrics). Excluded from
 	// the config echo for the same reason as Trace.
 	MetricsEvery sim.Duration `json:"-"`
-}
-
-// class is the QoS class sessions are opened with.
-func (c *Config) class() core.QoSClass {
-	if c.Adaptive && !c.GuaranteedOnly {
-		return core.Adaptive
-	}
-	return core.Guaranteed
-}
-
-func (c *Config) setDefaults() {
-	if c.Live {
-		if c.Channels == 0 {
-			c.Channels = 4
-		}
-		if c.Workstations == 0 {
-			c.Workstations = 12
-		}
-		if c.StreamsPerWS == 0 {
-			c.StreamsPerWS = 4
-		}
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.VodStreams == 0 {
-			c.VodStreams = c.Workstations / 2
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.CPUBound {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		// Small frames: the disks and links barely notice a stream the
-		// CPU model below finds expensive.
-		if c.FrameBytes == 0 {
-			c.FrameBytes = 1200
-		}
-		if c.CPUBytesPerSec == 0 {
-			c.CPUBytesPerSec = 1 << 20
-		}
-		if c.CPUPerFrame == 0 {
-			c.CPUPerFrame = sim.Millisecond
-		}
-	}
-	if c.Adaptive {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		if c.FrameBytes == 0 {
-			c.FrameBytes = 19200
-		}
-		if c.ReleaseEvery == 0 {
-			c.ReleaseEvery = 3
-		}
-	}
-	if c.Metro {
-		c.Pattern = VoD
-		if c.Sites == 0 {
-			c.Sites = 3
-		}
-		if c.Servers == 0 {
-			c.Servers = 2 // per site
-		}
-		if c.SiteReplicas == 0 {
-			c.SiteReplicas = 2
-		}
-		if c.SiteReplicas > c.Sites {
-			c.SiteReplicas = c.Sites
-		}
-		if c.Round == 0 {
-			c.Round = sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-		if c.Titles == 0 {
-			c.Titles = 2 * c.Servers * c.Sites
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.Cluster {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 4
-		}
-		if c.Round == 0 {
-			c.Round = sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-		if c.Titles == 0 {
-			c.Titles = 2 * c.Servers
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.FromStorage {
-		c.Pattern = VoD
-		if c.Round == 0 {
-			c.Round = 2 * sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-	}
-	if c.Workstations == 0 {
-		c.Workstations = 8
-	}
-	if c.StreamsPerWS == 0 {
-		c.StreamsPerWS = 4
-	}
-	if c.Servers == 0 {
-		c.Servers = (c.Workstations + 15) / 16
-	}
-	if c.FrameBytes == 0 {
-		c.FrameBytes = 960
-	}
-	if c.FrameBytes < headerSize {
-		c.FrameBytes = headerSize
-	}
-	if c.FrameHz == 0 {
-		c.FrameHz = 100
-	}
-	if c.PeakRate == 0 {
-		wire := int64(atm.CellsFor(c.FrameBytes)) * int64(atm.CellSize*8) * int64(c.FrameHz)
-		c.PeakRate = wire * 5 / 4
-	}
-	if c.Duration == 0 {
-		c.Duration = sim.Second
-	}
-	if c.Adaptive && c.ReleaseAt == 0 {
-		c.ReleaseAt = c.Duration / 2
-	}
-	if c.Live && c.HoldMean == 0 {
-		c.HoldMean = c.Duration / 4
-	}
-	if c.LinkRate == 0 {
-		c.LinkRate = fabric.Rate100M
-	}
 }
 
 // Result is the scoreboard of one run. The json tags are a stable,
@@ -472,7 +275,7 @@ type Result struct {
 	JitterP50  float64 `json:"jitter_p50_ns"`
 	JitterP99  float64 `json:"jitter_p99_ns"`
 
-	// Storage-backed serving (FromStorage and Cluster runs).
+	// Storage-backed serving (every run with disk-backed streams).
 	StorageStreams int `json:"storage_streams"` // disk-backed title streams admitted and up
 	// StorageRefused counts disk-bandwidth refusals: titles refused
 	// (FromStorage), or per-replica refusal attempts during selection
@@ -492,8 +295,8 @@ type Result struct {
 	CacheDemotions     int64 `json:"cache_demotions"`      // streams pushed back onto the disk budget
 	CacheBytesServed   int64 `json:"cache_bytes_served"`   // bytes streamed without touching a disk
 
-	// Ablation column (pegload -cache-ablation): the no-cache twin
-	// run's stream count and the cached/ablation admission ratio.
+	// Ablation column (pegload -ablate cache): the no-cache twin run's
+	// stream count and the cached/ablation admission ratio.
 	AblationStreams int     `json:"ablation_streams,omitempty"`
 	CacheRatio      float64 `json:"cache_ratio,omitempty"`
 
@@ -515,8 +318,8 @@ type Result struct {
 	CatalogSyncs      int64   `json:"catalog_syncs,omitempty"`      // anti-entropy rounds run
 	CatalogReconciled int64   `json:"catalog_reconciled,omitempty"` // catalog rows brought up to date
 	CrossSiteCopies   int64   `json:"cross_site_copies,omitempty"`  // lazy byte replications completed
-	// Ablation column (pegload -spill-ablation): the no-spill twin
-	// run's admission count.
+	// Ablation column (pegload -ablate spill): the no-spill twin run's
+	// admission count.
 	SpillAblationAdmitted int `json:"spill_ablation_admitted,omitempty"`
 
 	// Live-broadcast scoreboard (Live runs only). FanoutCellsSaved is
@@ -532,8 +335,8 @@ type Result struct {
 	LiveSourceCells  int64   `json:"live_source_cells,omitempty"`
 	FanoutCellsSaved int64   `json:"fanout_cells_saved,omitempty"`
 	FanoutRatio      float64 `json:"fanout_ratio,omitempty"`
-	// Ablation column (pegload -unicast-ablation): the per-viewer-
-	// circuit twin run's admitted join count.
+	// Ablation column (pegload -ablate tree): the per-viewer-circuit
+	// twin run's admitted join count.
 	UnicastAblationJoins int64 `json:"unicast_ablation_joins,omitempty"`
 
 	// QoS-session scoreboard (Adaptive and CPUBound runs).
@@ -569,7 +372,7 @@ func (r Result) String() string {
 		r.WallSeconds, r.EventsPerSec/1e6, r.CellsPerSec/1e6,
 		sim.Duration(r.LatencyP50), sim.Duration(r.LatencyP99), sim.Duration(r.LatencyMax),
 		sim.Duration(r.JitterP50), sim.Duration(r.JitterP99))
-	if r.Config.FromStorage || r.Config.Cluster || r.Config.Adaptive || r.Config.Metro {
+	if r.Config.StorageBacked() {
 		s += fmt.Sprintf(
 			"\n  storage: streams=%d refused=%d underruns=%d overruns=%d"+
 				" streamed=%.1fMB disk-read=%.1fMB",
@@ -656,24 +459,35 @@ func (h *frameHeader) stamp(now sim.Time, seq uint32) []byte {
 	return h[:]
 }
 
-// source is a CBR frame generator on one circuit. With cm set, each
-// frame's payload is pulled from the storage read-ahead buffer instead
-// of synthesized; an underrun skips the frame (counted by the service).
-// A source lives on the partition of the node whose uplink it feeds;
-// migrate moves it when failover rewires the stream to another node.
+// source is a CBR frame generator. It transmits each frame once per
+// circuit in vcis: a stream's one circuit, a live channel's tree, or
+// one circuit per viewer in the live unicast ablation. With cm set,
+// each frame's payload is pulled from the storage read-ahead buffer
+// instead of synthesized; an underrun skips the frame (counted by the
+// service). A source lives on the partition of the node whose uplink
+// it feeds; migrate moves it when failover rewires the stream to
+// another node. A live channel's vcis and viewers are written only in
+// global context by the churn engine; the tick reads them from its
+// partition between barriers.
 type source struct {
 	sim     *sim.Sim
 	out     *fabric.Link
-	vci     atm.VCI
+	vcis    []atm.VCI
 	period  sim.Duration
-	payload []byte // synthetic frame (Scenario.synthFrame)
+	payload []byte // synthetic frame (Scenario.synth)
 	cm      *fileserver.CMStream
 	hdr     frameHeader
 	seq     uint32
 	running bool
 	chained bool
 	ev      *sim.Event         // pending tick (nil between ticks)
-	sent    *telemetry.Counter // partition-owned frames-sent counter
+	sent    *telemetry.Counter // partition-owned frames-sent counter (per copy)
+
+	// Live channels only: cells transmitted, cells the switch
+	// replicated for free, and the channel's current viewer count
+	// (multicast) the saving derives from.
+	cells, saved *telemetry.Counter
+	viewers      int
 }
 
 func (s *source) start(phase sim.Duration) {
@@ -715,13 +529,25 @@ func (s *source) tick() {
 		}
 		payload = data
 	}
-	cells, err := atm.SegmentHeader(s.vci, devices.UUData, s.hdr.stamp(s.sim.Now(), s.seq), payload)
+	hdr := s.hdr.stamp(s.sim.Now(), s.seq)
 	s.seq++
-	if err != nil {
-		panic(fmt.Sprintf("loadgen: unsegmentable frame: %v", err))
+	for _, vci := range s.vcis {
+		cells, err := atm.SegmentHeader(vci, devices.UUData, hdr, payload)
+		if err != nil {
+			panic(fmt.Sprintf("loadgen: unsegmentable frame: %v", err))
+		}
+		s.out.SendBurst(cells)
+		s.sent.Inc()
+		if s.cells != nil {
+			s.cells.Add(int64(len(cells)))
+			if s.viewers > 1 {
+				// The tree carries one copy; the switch manufactures the
+				// other viewers-1 for free. The unicast ablation never sets
+				// viewers, so its saved column is honestly zero.
+				s.saved.Add(int64(s.viewers-1) * int64(len(cells)))
+			}
+		}
 	}
-	s.out.SendBurst(cells)
-	s.sent.Inc()
 	s.ev = s.sim.After(s.period, s.tick)
 }
 
@@ -847,10 +673,13 @@ func (st *Stream) establish() error {
 	// for storage-backed titles, the disk heads too. OpenSession holds
 	// nothing on refusal by either half.
 	spec := core.SessionSpec{
-		Class:    st.sc.cfg.class(),
+		Class:    core.Guaranteed,
 		InPort:   st.from.Port,
 		OutPorts: ports,
 		PeakRate: st.sc.cfg.PeakRate,
+	}
+	if cfg := st.sc.cfg; cfg.Adaptive && !cfg.GuaranteedOnly {
+		spec.Class = core.Adaptive
 	}
 	if st.title != "" {
 		spec.CM = st.server.CM
@@ -898,7 +727,7 @@ func (st *Stream) establish() error {
 		d.Demux.Register(sess.VCI(), &sink{sim: d.Sim, tl: st.sc.trafficFor(d.Sim), period: st.src.period})
 	}
 	st.sc.admitted += len(ports)
-	st.src.vci = sess.VCI()
+	st.src.vcis = append(st.src.vcis[:0], sess.VCI())
 	return nil
 }
 
@@ -918,36 +747,30 @@ func (st *Stream) Restart() error {
 
 // Scenario is a built site plus its admitted streams, ready to run.
 type Scenario struct {
-	cfg  Config
-	site *core.Site
+	cfg   Config
+	topo  *topology
+	site  *core.Site
+	plane plane
 
 	// Servers are the VoD storage nodes (nil for mesh).
 	Servers []*core.StorageServer
 
 	streams []*Stream
-	synth   []byte // see synthFrame
+	synth   []byte // the all-zero frame sources without storage send, shared read-only
 
-	// Cluster-mode state: the site controller, every viewer request,
-	// and the requests no replica could carry (retried when a reactive
-	// replication lands).
+	// Viewer-request state (cluster and metro): the site or federation
+	// controller, every request, and the requests no replica could
+	// carry (retried when new capacity lands).
 	ctrl     *vodsite.Controller
-	requests []*clusterReq
-	pending  []*clusterReq
-
-	// Metro-mode state: the federation controller, every viewer
-	// request, and the requests no site could carry (retried when a
-	// cross-site copy lands bytes on the home site).
 	metroCtl *metro.Controller
-	mreqs    []*metroReq
-	mpending []*metroReq
+	requests []*request
+	pending  []*request
 
 	// Live-mode state: the on-air channels, the viewer endpoints the
-	// churn joins on, the pre-sampled churn schedule, and the per-
-	// partition live counters.
+	// churn joins on, and the pre-sampled churn schedule.
 	channels    []*liveChannel
 	liveViewers []*core.Endpoint
 	livePlan    []liveJoinPlan
-	liveCtrs    []*liveCounters
 
 	admitted, rejected, tornDown int
 	traffics                     []*traffic
@@ -974,36 +797,26 @@ func trafficKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "traffic", Name: name}
 }
 
-// clock, metrics, cluster and trace resolve the scenario's run loop,
-// registry, partition cluster and tracer whichever topology owns them:
-// the metro controller in Metro mode, the single site otherwise.
-func (sc *Scenario) clock() sim.Scheduler {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Clock()
-	}
-	return sc.site.Clock
+// plane is the kernel, registry and tracer of whichever topology owns
+// them: the metro controller in Metro mode, the single site otherwise.
+type plane interface {
+	Clock() sim.Scheduler
+	Metrics() *telemetry.Registry
+	Cluster() *sim.Cluster
+	Tracer() *telemetry.Tracer
 }
 
-func (sc *Scenario) metrics() *telemetry.Registry {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Metrics()
-	}
-	return sc.site.Metrics
-}
+// sitePlane is a single site's plane.
+type sitePlane struct{ *core.Site }
 
-func (sc *Scenario) cluster() *sim.Cluster {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Cluster()
-	}
-	return sc.site.Cluster()
-}
+// Clock is the site's scheduler.
+func (s sitePlane) Clock() sim.Scheduler { return s.Site.Clock }
 
-func (sc *Scenario) trace() *telemetry.Tracer {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Tracer()
-	}
-	return sc.site.Trace()
-}
+// Metrics is the site's registry.
+func (s sitePlane) Metrics() *telemetry.Registry { return s.Site.Metrics }
+
+// Tracer is the site's session tracer (nil unless enabled).
+func (s sitePlane) Tracer() *telemetry.Tracer { return s.Trace() }
 
 // trafficFor returns (creating on first use) the registry handles for a
 // partition's timeline. Global context only; the handful of partitions
@@ -1014,7 +827,7 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 			return t
 		}
 	}
-	reg, p := sc.metrics(), s.Partition()
+	reg, p := sc.plane.Metrics(), s.Partition()
 	t := &traffic{
 		sim:             s,
 		framesSent:      reg.Counter(p, trafficKey("frames_sent")),
@@ -1030,23 +843,51 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 // framesDeliveredTotal sums delivered frames across partitions (for
 // tests probing mid-run progress). Quiescent context only.
 func (sc *Scenario) framesDeliveredTotal() int64 {
-	return sc.metrics().CounterValue(trafficKey("frames_delivered"))
+	return sc.plane.Metrics().CounterValue(trafficKey("frames_delivered"))
 }
 
 // Site exposes the underlying site (switch, signalling) for assertions.
 func (sc *Scenario) Site() *core.Site { return sc.site }
 
-// Telemetry exposes the scenario's metrics registry. Merged reads are
-// only safe between runs (quiescent context).
-func (sc *Scenario) Telemetry() *telemetry.Registry { return sc.metrics() }
-
-// attachSite installs the scenario's site, switching session tracing
-// on before any admission so build-time refusals land in the trace.
-func (sc *Scenario) attachSite(site *core.Site) {
-	sc.site = site
-	if sc.cfg.Trace {
-		site.EnableTrace()
+// siteConfig is the site geometry every topology shares.
+func (sc *Scenario) siteConfig(ports int) core.SiteConfig {
+	c := core.DefaultSiteConfig()
+	c.LinkRate = sc.cfg.LinkRate
+	c.CellAccurate = sc.cfg.CellAccurate
+	c.Ports = ports
+	c.Partitions = sc.cfg.Partitions
+	if sc.cfg.FastDisks {
+		// Flash-era mechanics: microsecond repositioning, 500 MB/s media
+		// rate. With the 1994 drive, AvgPosition ≈ 12.6 ms caps a node at
+		// ~50 streams/round; this lifts the ceiling three orders of
+		// magnitude for 100k-session runs.
+		c.DiskParams = &disk.Params{
+			SeekMin: 20 * sim.Microsecond,
+			SeekMax: 50 * sim.Microsecond,
+			RotHalf: 25 * sim.Microsecond,
+			Rate:    500_000_000,
+		}
 	}
+	return c
+}
+
+// attachSite builds the scenario's site, switching session tracing on
+// before any admission so build-time refusals land in the trace.
+func (sc *Scenario) attachSite(ports int) {
+	sc.site = core.NewSite(sc.siteConfig(ports))
+	sc.plane = sitePlane{sc.site}
+	if sc.cfg.Trace {
+		sc.site.EnableTrace()
+	}
+}
+
+// attachViewers attaches one viewer endpoint per workstation to site.
+func (sc *Scenario) attachViewers(site *core.Site) []*core.Endpoint {
+	viewers := make([]*core.Endpoint, sc.cfg.Workstations)
+	for i := range viewers {
+		viewers[i] = site.Attach(fmt.Sprintf("viewer%d", i))
+	}
+	return viewers
 }
 
 // WriteMetrics emits the sampled time series as columnar JSON. Call
@@ -1061,7 +902,7 @@ func (sc *Scenario) WriteMetrics(w io.Writer) error {
 // WriteTrace emits the per-session lifecycle trace as JSON lines. Call
 // after Run; requires Config.Trace.
 func (sc *Scenario) WriteTrace(w io.Writer) error {
-	tr := sc.trace()
+	tr := sc.plane.Tracer()
 	if tr == nil {
 		return errors.New("loadgen: tracing not enabled (Config.Trace)")
 	}
@@ -1072,135 +913,110 @@ func (sc *Scenario) WriteTrace(w io.Writer) error {
 func (sc *Scenario) Streams() []*Stream { return sc.streams }
 
 // Build constructs the site, admits every stream through signalling and
-// wires sources and measuring sinks. Sources are not yet started.
+// wires sources and measuring sinks. Sources are not yet started. A
+// Config that fails Validate is a programming error: Build panics.
 func Build(cfg Config) *Scenario {
-	if cfg.Cluster && cfg.CPUBound {
-		// Cluster nodes do not enable CPU admission (yet): dispatching
-		// to the cluster builder would silently drop the CPU leg while
-		// the CPUBound defaults had already rewritten the geometry.
-		panic("loadgen: Cluster and CPUBound cannot be combined")
+	t, err := cfg.validate()
+	if err != nil {
+		panic(err)
 	}
-	if cfg.Metro && (cfg.Cluster || cfg.Adaptive || cfg.CPUBound) {
-		panic("loadgen: Metro cannot be combined with Cluster, Adaptive or CPUBound")
-	}
-	if cfg.Live && (cfg.Cluster || cfg.Metro || cfg.Adaptive || cfg.CPUBound) {
-		panic("loadgen: Live is its own topology; it cannot be combined with Cluster, Metro, Adaptive or CPUBound")
-	}
-	if cfg.Unicast && !cfg.Live {
-		panic("loadgen: Unicast is the live ablation; it requires Live mode")
-	}
-	if cfg.Partitions != 0 && !cfg.Cluster && !cfg.Metro && !cfg.Live {
-		// Only cluster, metro and live modes keep control-plane verbs in
-		// global context; the other patterns share state across the
-		// whole site.
-		panic("loadgen: Partitions requires Cluster, Metro or Live mode")
-	}
-	cfg.setDefaults()
-	sc := &Scenario{cfg: cfg}
-	if cfg.Live {
-		sc.buildLive()
-		return sc
-	}
-	if cfg.Metro {
-		sc.buildMetro()
-		return sc
-	}
-	if cfg.Cluster {
-		sc.buildCluster()
-		return sc
-	}
-	if cfg.Adaptive || cfg.CPUBound {
-		// CPUBound shares the unicast disk-backed topology; it just
-		// turns on per-node CPU admission (and keeps the Guaranteed
-		// class unless Adaptive is also set).
-		sc.buildAdaptive()
-		return sc
-	}
-
-	n, m := cfg.Workstations, cfg.StreamsPerWS
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.LinkRate = cfg.LinkRate
-	siteCfg.CellAccurate = cfg.CellAccurate
-	switch cfg.Pattern {
-	case Mesh:
-		siteCfg.Ports = 2 * n
-	case VoD:
-		siteCfg.Ports = n + cfg.Servers
-	}
-	sc.attachSite(core.NewSite(siteCfg))
-
-	switch cfg.Pattern {
-	case Mesh:
-		srcEPs := make([]*core.Endpoint, n)
-		dstEPs := make([]*core.Endpoint, n)
-		for i := 0; i < n; i++ {
-			srcEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.cam", i))
-			dstEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.disp", i))
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				peer := (i + 1 + j%max(n-1, 1)) % n
-				sc.addStream(srcEPs[i], []*core.Endpoint{dstEPs[peer]}, i*m+j).establish()
-			}
-		}
-	case VoD:
-		viewers := make([]*core.Endpoint, n)
-		for i := 0; i < n; i++ {
-			viewers[i] = sc.site.Attach(fmt.Sprintf("viewer%d", i))
-		}
-		// Server geometry: a toy array for synthesized VoD, a sized one
-		// when titles really live on the disks.
-		segSize, nseg := 64<<10, int64(64)
-		var titleBytes int64
-		if cfg.FromStorage {
-			framesPerRound := int64(cfg.FrameHz) * int64(cfg.Round) / int64(sim.Second)
-			roundBytes := framesPerRound * int64(cfg.FrameBytes)
-			titleBytes = int64(cfg.TitleRounds) * roundBytes
-			segSize = 256 << 10
-			perTitle := (titleBytes+int64(segSize)-1)/int64(segSize) + 1
-			nseg = int64(m)*perTitle + 8
-		}
-		sc.Servers = make([]*core.StorageServer, cfg.Servers)
-		for s := range sc.Servers {
-			sc.Servers[s] = sc.site.NewStorageServer(fmt.Sprintf("vod%d", s), segSize, nseg)
-		}
-		// Each server publishes m titles; every viewer subscribes to m
-		// titles spread across the catalogue; the switch fans each
-		// title's single transmission out to its subscribers.
-		titles := cfg.Servers * m
-		if cfg.FromStorage {
-			sc.preloadTitles(titles, titleBytes)
-		}
-		subs := make([][]*core.Endpoint, titles)
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				t := (i*m + j) % titles
-				subs[t] = append(subs[t], viewers[i])
-			}
-		}
-		for t, legs := range subs {
-			if len(legs) == 0 {
-				continue
-			}
-			st := sc.addStream(sc.Servers[t%cfg.Servers].Net, legs, t)
-			if cfg.FromStorage {
-				st.server = sc.Servers[t%cfg.Servers]
-				st.title = titleName(t)
-			}
-			st.establish()
-		}
-	}
+	cfg.setDefaults(t)
+	sc := &Scenario{cfg: cfg, topo: t, synth: make([]byte, cfg.FrameBytes)}
+	t.build(sc)
 	return sc
 }
 
+// buildMesh wires the videophone pattern: every workstation sends M
+// streams to M distinct peers.
+func (sc *Scenario) buildMesh() {
+	n, m := sc.cfg.Workstations, sc.cfg.StreamsPerWS
+	sc.attachSite(2 * n)
+	srcEPs := make([]*core.Endpoint, n)
+	dstEPs := make([]*core.Endpoint, n)
+	for i := 0; i < n; i++ {
+		srcEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.cam", i))
+		dstEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.disp", i))
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			peer := (i + 1 + j%max(n-1, 1)) % n
+			sc.addStream(srcEPs[i], []*core.Endpoint{dstEPs[peer]}, i*m+j).establish()
+		}
+	}
+}
+
+// buildVoD wires the fan-out pattern: each server publishes M titles,
+// every viewer subscribes to M titles spread across the catalogue, and
+// the switch fans each title's single transmission out to its
+// subscribers. FromStorage serves the titles off the disks.
+func (sc *Scenario) buildVoD() {
+	cfg := sc.cfg
+	n, m := cfg.Workstations, cfg.StreamsPerWS
+	sc.attachSite(n + cfg.Servers)
+	viewers := sc.attachViewers(sc.site)
+	titles := cfg.Servers * m
+	if cfg.FromStorage {
+		sc.addServers(sc.site, "vod", cfg.Servers, m, 256<<10, 8)
+		sc.preloadTitles(titles)
+	} else {
+		sc.addServers(sc.site, "vod", cfg.Servers, 0, 64<<10, 64) // a toy array
+	}
+	subs := make([][]*core.Endpoint, titles)
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			t := (i*m + j) % titles
+			subs[t] = append(subs[t], viewers[i])
+		}
+	}
+	for t, legs := range subs {
+		if len(legs) == 0 {
+			continue
+		}
+		if ss := sc.Servers[t%cfg.Servers]; cfg.FromStorage {
+			sc.serveTitle(ss, t, legs, t)
+		} else {
+			sc.addStream(ss.Net, legs, t).establish()
+		}
+	}
+}
+
 func titleName(t int) string { return fmt.Sprintf("title%d", t) }
+
+// titleBytes is one stored title's length: TitleRounds rounds of frames.
+func (c *Config) titleBytes() int64 {
+	framesPerRound := int64(c.FrameHz) * int64(c.Round) / int64(sim.Second)
+	return int64(c.TitleRounds) * framesPerRound * int64(c.FrameBytes)
+}
+
+// addServers attaches n storage servers named prefix0, prefix1, … to
+// site and appends them to Servers. Each log holds titles titles in
+// segSize-byte segments, plus spare segments.
+func (sc *Scenario) addServers(site *core.Site, prefix string, n, titles int, segSize, spare int64) []*core.StorageServer {
+	perTitle := (sc.cfg.titleBytes()+segSize-1)/segSize + 1
+	added := make([]*core.StorageServer, n)
+	for s := range added {
+		added[s] = site.NewStorageServer(fmt.Sprintf("%s%d", prefix, s), int(segSize), int64(titles)*perTitle+spare)
+	}
+	sc.Servers = append(sc.Servers, added...)
+	return added
+}
+
+// serveTitle wires a stream of title t from server ss to dsts and
+// admits it: links and disks both.
+func (sc *Scenario) serveTitle(ss *core.StorageServer, t int, dsts []*core.Endpoint, idx int) {
+	st := sc.addStream(ss.Net, dsts, idx)
+	st.server = ss
+	st.title = titleName(t)
+	st.establish()
+}
 
 // preloadTitles formats every title onto its server's disk array and
 // starts the serving services. The writes take the ordinary service
 // path (fileserver → lfs → raid), the log is synced so the data is on
 // the platters — not in open segments — and the simulator is drained
 // before the measured run begins.
-func (sc *Scenario) preloadTitles(titles int, titleBytes int64) {
+func (sc *Scenario) preloadTitles(titles int) {
+	titleBytes := sc.cfg.titleBytes()
 	chunk := make([]byte, 64<<10)
 	for i := range chunk {
 		chunk[i] = byte(i * 17)
@@ -1229,11 +1045,13 @@ func (sc *Scenario) preloadTitles(titles int, titleBytes int64) {
 	// event queue empties. The CM schedulers start only after this.
 	sc.site.Clock.Run()
 	for _, ss := range sc.Servers {
-		ss.EnableCM(fileserver.CMConfig{
-			Round:      sc.cfg.Round,
-			CacheBytes: int64(sc.cfg.CacheMB) << 20,
-		})
+		ss.EnableCM(sc.cmConfig())
 	}
+}
+
+// cmConfig is every serving node's continuous-media service setup.
+func (sc *Scenario) cmConfig() fileserver.CMConfig {
+	return fileserver.CMConfig{Round: sc.cfg.Round, CacheBytes: int64(sc.cfg.CacheMB) << 20}
 }
 
 // addStream wires one stream (possibly multi-leaf); the caller
@@ -1247,25 +1065,16 @@ func (sc *Scenario) addStream(from *core.Endpoint, dsts []*core.Endpoint, idx in
 		// Spread stream phases deterministically across the frame period
 		// so the site doesn't emit every frame on the same instant.
 		phase: sim.Duration(int64(idx)*7919) % period,
-		src: &source{
-			sim:     from.Sim,
-			out:     from.ToSwitch,
-			period:  period,
-			payload: sc.synthFrame(),
-			sent:    sc.trafficFor(from.Sim).framesSent,
-		},
+		src:   sc.newSource(from.Sim, from.ToSwitch, period),
 	}
 	sc.streams = append(sc.streams, st)
 	return st
 }
 
-// synthFrame returns the all-zero synthetic frame that every source
-// without storage transmits, shared read-only. Global context only.
-func (sc *Scenario) synthFrame() []byte {
-	if sc.synth == nil {
-		sc.synth = make([]byte, sc.cfg.FrameBytes)
-	}
-	return sc.synth
+// newSource returns a synthetic-frame source on s's timeline feeding
+// out.
+func (sc *Scenario) newSource(s *sim.Sim, out *fabric.Link, period sim.Duration) *source {
+	return &source{sim: s, out: out, period: period, payload: sc.synth, sent: sc.trafficFor(s).framesSent}
 }
 
 // Run starts every admitted source, advances the simulation by the
@@ -1278,61 +1087,39 @@ func (sc *Scenario) Run() Result {
 			st.src.start(st.phase)
 		}
 	}
-	// Release and failure are control-plane verbs that touch many
-	// partitions' state: they run in global (barrier) context.
-	if sc.cfg.Live {
-		sc.startLive()
-	}
-	if sc.cfg.Adaptive && sc.cfg.ReleaseAt > 0 && sc.cfg.ReleaseEvery > 0 {
-		sc.site.Clock.CallAfter(sc.cfg.ReleaseAt, sc.releaseSome)
-	}
-	if sc.cfg.Metro && sc.cfg.FailSiteAt > 0 {
-		idx := sc.cfg.FailSite % sc.cfg.Sites
-		if idx < 0 { // Go's % preserves sign
-			idx += sc.cfg.Sites
-		}
-		sc.clock().CallAfter(sc.cfg.FailSiteAt, func() { sc.metroCtl.FailSite(idx) })
-	}
-	if sc.cfg.Cluster && sc.cfg.CacheMB > 0 {
-		// The build-time admission wave ran before any scheduler round
-		// had fed the RAM tier, so no request could ride a wake. Once
-		// leaders are streaming, refused requests become cache-servable:
-		// retry them every round, offset half a round past the boundary
-		// so the leaders' windows land first.
-		sc.site.Clock.CallAfter(sc.cfg.Round+sc.cfg.Round/2, sc.retryCacheTick)
-	}
-	if sc.cfg.Cluster && sc.cfg.FailNodeAt > 0 {
-		idx := sc.cfg.FailNode % len(sc.ctrl.Nodes())
-		if idx < 0 { // Go's % preserves sign
-			idx += len(sc.ctrl.Nodes())
-		}
-		node := sc.ctrl.Nodes()[idx]
-		sc.site.Clock.CallAfter(sc.cfg.FailNodeAt, func() { sc.ctrl.FailNode(node) })
+	// The topology's churn, release, retry and failure schedules are
+	// control-plane verbs that touch many partitions' state: they run
+	// in global (barrier) context.
+	if sc.topo.start != nil {
+		sc.topo.start(sc)
 	}
 	// The sampler attaches to lookahead barriers when the kernel is
 	// actually parallel (zero events, zero perturbation); serial and
 	// single-partition runs chain a self-rescheduling tick instead,
 	// whose firings collect subtracts back out of EventsFired.
 	if sc.cfg.MetricsEvery > 0 && sc.sampler == nil {
-		sc.sampler = telemetry.NewSampler(sc.metrics(), sc.cfg.MetricsEvery)
-		if clu := sc.cluster(); clu != nil && clu.Parts() > 1 {
+		sc.sampler = telemetry.NewSampler(sc.plane.Metrics(), sc.cfg.MetricsEvery)
+		if clu := sc.plane.Cluster(); clu != nil && clu.Parts() > 1 {
 			sc.sampler.AttachBarrier(clu)
 		} else {
-			sc.sampler.Chain(sc.clock())
+			sc.sampler.Chain(sc.plane.Clock())
 		}
 	}
-	sc.runStart = sc.clock().Now()
-	sc.firedStart = sc.clock().Fired()
+	sc.runStart = sc.plane.Clock().Now()
+	sc.firedStart = sc.plane.Clock().Fired()
 	if sc.sampler != nil {
 		sc.ticksStart = sc.sampler.Ticks()
 	}
 	wall := time.Now()
-	sc.clock().RunFor(sc.cfg.Duration)
+	sc.plane.Clock().RunFor(sc.cfg.Duration)
 	if sc.sampler != nil {
-		sc.sampler.Final(sc.clock().Now())
+		sc.sampler.Final(sc.plane.Clock().Now())
 	}
 	return sc.collect(time.Since(wall))
 }
+
+// modulo is i mod n in [0, n): Go's % keeps the dividend's sign.
+func modulo(i, n int) int { return (i%n + n) % n }
 
 func (sc *Scenario) collect(wall time.Duration) Result {
 	// The scoreboard is a view over the registry: merge the per-shard
@@ -1340,8 +1127,8 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 	// result is independent of merge order. A chained sampler's own
 	// tick events are subtracted back out of the events-fired score so
 	// telemetry on vs off yields byte-identical scoreboards.
-	latency := sc.metrics().MergedSample(trafficKey("latency_ns"))
-	jitter := sc.metrics().MergedSample(trafficKey("jitter_ns"))
+	latency := sc.plane.Metrics().MergedSample(trafficKey("latency_ns"))
+	jitter := sc.plane.Metrics().MergedSample(trafficKey("jitter_ns"))
 	var ticks int64
 	if sc.sampler != nil {
 		ticks = sc.sampler.Ticks() - sc.ticksStart
@@ -1351,11 +1138,11 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		Admitted:        sc.admitted,
 		Rejected:        sc.rejected,
 		TornDown:        sc.tornDown,
-		FramesSent:      sc.metrics().CounterValue(trafficKey("frames_sent")),
-		FramesDelivered: sc.metrics().CounterValue(trafficKey("frames_delivered")),
-		CellsDelivered:  sc.metrics().CounterValue(trafficKey("cells_delivered")),
-		EventsFired:     sc.clock().Fired() - sc.firedStart - ticks,
-		SimSeconds:      (sc.clock().Now() - sc.runStart).Seconds(),
+		FramesSent:      sc.plane.Metrics().CounterValue(trafficKey("frames_sent")),
+		FramesDelivered: sc.plane.Metrics().CounterValue(trafficKey("frames_delivered")),
+		CellsDelivered:  sc.plane.Metrics().CounterValue(trafficKey("cells_delivered")),
+		EventsFired:     sc.plane.Clock().Fired() - sc.firedStart - ticks,
+		SimSeconds:      (sc.plane.Clock().Now() - sc.runStart).Seconds(),
 		WallSeconds:     wall.Seconds(),
 		LatencyP50:      latency.Quantile(0.5),
 		LatencyP99:      latency.Quantile(0.99),
@@ -1367,134 +1154,50 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		r.EventsPerSec = float64(r.EventsFired) / r.WallSeconds
 		r.CellsPerSec = float64(r.CellsDelivered) / r.WallSeconds
 	}
-	if sc.cfg.FromStorage || sc.cfg.Cluster || sc.cfg.Adaptive || sc.cfg.CPUBound || sc.cfg.Metro ||
-		(sc.cfg.Live && sc.cfg.VodStreams > 0) {
-		if !sc.cfg.Cluster && !sc.cfg.Metro {
-			// One source of truth: the site counts refusals by the same
-			// core.RefusalLeg taxonomy the trace events carry. Cluster
-			// mode admits through per-node selection probes instead of
-			// OpenSession refusals, so it reads the CM stats below.
-			r.StorageRefused = int(sc.site.QoSStats.RefusedLeg[core.LegDisk])
-		}
-		for _, st := range sc.streams {
-			if st.sess != nil && st.sess.CM() != nil {
-				r.StorageStreams++
-			}
-		}
-		for _, req := range sc.requests {
-			if req.st != nil && !req.st.Released() {
-				r.StorageStreams++
-			}
-		}
-		for _, st := range sc.streams {
-			if st.sess != nil && st.sess.CacheServed() {
+	if sc.topo.open == nil {
+		// One source of truth: the site counts refusals by the same
+		// core.RefusalLeg taxonomy the trace events carry. Viewer-request
+		// topologies admit through per-node selection probes instead of
+		// OpenSession refusals, so they read the CM stats below.
+		r.StorageRefused = int(sc.site.QoSStats.RefusedLeg[core.LegDisk])
+	}
+	for _, st := range sc.streams {
+		if st.sess != nil && st.sess.CM() != nil {
+			r.StorageStreams++
+			if st.sess.CacheServed() {
 				r.CacheServedStreams++
 			}
 		}
-		for _, req := range sc.requests {
-			if req.st != nil && !req.st.Released() &&
-				req.st.Session() != nil && req.st.Session().CacheServed() {
+	}
+	for _, req := range sc.requests {
+		if req.sess != nil && !req.sess.Closed() {
+			r.StorageStreams++
+			if cm := req.sess.CM(); cm != nil && cm.CacheServed() {
 				r.CacheServedStreams++
 			}
 		}
-		for _, req := range sc.mreqs {
-			if req.sess != nil && !req.sess.Closed() {
-				r.StorageStreams++
-			}
+	}
+	for _, ss := range sc.Servers {
+		if ss.CM == nil {
+			continue // synthesized VoD: the disks serve nothing
 		}
-		for _, ss := range sc.Servers {
-			if ss.CM != nil {
-				if sc.cfg.Cluster || sc.cfg.Metro {
-					r.StorageRefused += int(ss.CM.Stats.Refused)
-				}
-				r.RoundOverruns += ss.CM.Stats.RoundOverruns
-				r.Underruns += ss.CM.Stats.Underruns
-				r.StorageBytes += ss.CM.Stats.BytesStreamed
-				r.CacheHits += ss.CM.Stats.CacheHits
-				r.CacheMisses += ss.CM.Stats.CacheMisses
-				r.CacheDemotions += ss.CM.Stats.CacheDemotions
-				r.CacheBytesServed += ss.CM.Stats.CacheBytesServed
-			}
-			arr := ss.Server.FS().Array()
-			for i := 0; i < raid.TotalDisks; i++ {
-				r.DiskBytesRead += arr.Disk(i).Stats.BytesRead
-			}
+		if sc.topo.open != nil {
+			r.StorageRefused += int(ss.CM.Stats.Refused)
+		}
+		r.RoundOverruns += ss.CM.Stats.RoundOverruns
+		r.Underruns += ss.CM.Stats.Underruns
+		r.StorageBytes += ss.CM.Stats.BytesStreamed
+		r.CacheHits += ss.CM.Stats.CacheHits
+		r.CacheMisses += ss.CM.Stats.CacheMisses
+		r.CacheDemotions += ss.CM.Stats.CacheDemotions
+		r.CacheBytesServed += ss.CM.Stats.CacheBytesServed
+		arr := ss.Server.FS().Array()
+		for i := 0; i < raid.TotalDisks; i++ {
+			r.DiskBytesRead += arr.Disk(i).Stats.BytesRead
 		}
 	}
-	if sc.cfg.Cluster {
-		st := sc.ctrl.Stats
-		r.SiteRefused = len(sc.pending)
-		r.ReplicasTriggered, r.ReplicasCompleted = st.ReplicasTriggered, st.ReplicasCompleted
-		r.FailoverRecovered, r.FailoverDropped = st.FailoverRecovered, st.FailoverDropped
-		for _, nd := range sc.ctrl.Nodes() {
-			r.NodeAdmissions = append(r.NodeAdmissions, nd.Admissions)
-		}
-	}
-	if sc.cfg.Metro {
-		ms := sc.metroCtl.Stats
-		r.Spilled = ms.Spilled
-		r.TrunkRefused = ms.TrunkRefused
-		r.SiteRecovered = ms.Recovered
-		r.SiteDropped = ms.Dropped
-		r.CatalogSyncs = ms.CatalogSyncs
-		r.CatalogReconciled = ms.CatalogReconciled
-		r.CrossSiteCopies = ms.CrossCopiesCompleted
-		r.SiteRefused = len(sc.mpending)
-		r.SiteServed = make([]int64, sc.metroCtl.Sites())
-		for _, req := range sc.mreqs {
-			if req.sess != nil && !req.sess.Closed() {
-				r.SiteServed[req.sess.Served]++
-			}
-		}
-	}
-	if sc.cfg.Live {
-		lv := sc.site.LiveStats
-		r.Broadcasts = int(lv.Broadcasts)
-		r.LiveJoins = lv.Joins
-		r.LiveLeaves = lv.Leaves
-		r.LiveJoinRefused = lv.JoinRefused
-		r.SubtreeDegraded = lv.SubtreeDegraded
-		r.SubtreeRestored = lv.SubtreeRestored
-		r.LiveSourceCells = sc.metrics().CounterValue(liveKey("source_cells"))
-		r.FanoutCellsSaved = sc.metrics().CounterValue(liveKey("fanout_saved"))
-		if r.LiveSourceCells > 0 {
-			r.FanoutRatio = float64(r.LiveSourceCells+r.FanoutCellsSaved) / float64(r.LiveSourceCells)
-		}
-	}
-	if sc.cfg.Adaptive || sc.cfg.CPUBound {
-		for _, st := range sc.streams {
-			if st.sess == nil {
-				continue
-			}
-			r.SessionsUp++
-			if st.sess.Degraded() {
-				r.SessionsDegraded++
-			}
-		}
-		r.DegradeEvents = sc.site.QoSStats.Degraded
-		r.RestoreEvents = sc.site.QoSStats.Restored
-	}
-	if sc.cfg.CPUBound {
-		r.CPURefused = int(sc.site.QoSStats.RefusedLeg[core.LegCPU])
-		for _, ss := range sc.Servers {
-			if cpu := ss.CPU; cpu != nil {
-				r.DeadlineMisses += cpu.Stats.DeadlineMisses
-			}
-			// Worst-node load comes off the probe surface — the same
-			// per-leg headrooms replica selection ranks by — rather than
-			// per-package capacity getters.
-			rep := sc.site.Probe(core.SessionSpec{CM: ss.CM, CPU: ss.CPU})
-			if lr := rep.Leg(core.LegCPU); lr.Present {
-				if f := 1 - lr.Headroom; f > r.CPUReserved {
-					r.CPUReserved = f
-				}
-			}
-			if lr := rep.Leg(core.LegDisk); lr.Present {
-				if f := 1 - lr.Headroom; f > r.DiskCommitted {
-					r.DiskCommitted = f
-				}
-			}
-		}
+	if sc.topo.collect != nil {
+		sc.topo.collect(sc, &r)
 	}
 	return r
 }
