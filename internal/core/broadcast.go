@@ -61,45 +61,6 @@ type BroadcastSpec struct {
 	Unicast bool
 }
 
-func (sp *BroadcastSpec) floorFrac() float64 {
-	if sp.MinRateFrac > 0 {
-		return sp.MinRateFrac
-	}
-	return DefaultMinRateFrac
-}
-
-func (sp *BroadcastSpec) rateAt(f float64) int64 {
-	r := int64(float64(sp.PeakRate)*f + 0.5)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
-// cpuGeometryAt mirrors SessionSpec.cpuGeometryAt for the source-side
-// contract.
-func (sp *BroadcastSpec) cpuGeometryAt(f float64) (frameBytes, frameHz int) {
-	frameHz = sp.FrameHz
-	if frameHz <= 0 {
-		frameHz = DefaultCPUHz
-	}
-	if sp.FrameBytes > 0 {
-		fb := int(float64(sp.FrameBytes)*f + 0.5)
-		if fb < 1 {
-			fb = 1
-		}
-		if fb > sp.FrameBytes {
-			fb = sp.FrameBytes
-		}
-		return fb, frameHz
-	}
-	fb := int(sp.rateAt(f) / 8 / int64(frameHz))
-	if fb < 1 {
-		fb = 1
-	}
-	return fb, frameHz
-}
-
 // BroadcastStats counts live-plane activity on a site.
 type BroadcastStats struct {
 	Broadcasts       int64 // channels opened
@@ -122,15 +83,12 @@ type BroadcastStats struct {
 // the unicast ablation, the set of per-viewer circuits), the source's
 // CPU contract, and the viewer bookkeeping all travel together.
 type Broadcast struct {
-	site *Site
-	spec BroadcastSpec
-	id   int
-
-	circ *netsig.Circuit // the shared tree; nil in unicast mode
-	cpu  *StreamDomain
-
-	// factor is the tree's current quality tier, 1 = full.
-	factor float64
+	// tier carries the spec's ladder fields (rate, floor, frame
+	// geometry, CPU), the shared tree as its circuit (nil in unicast
+	// mode) and the source's CPU contract.
+	tier
+	id      int
+	unicast bool
 
 	// viewers refcounts joined viewers per output port: only the first
 	// viewer on a port grows a branch, the rest share its cells.
@@ -185,24 +143,30 @@ func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 	if spec.Title == "" {
 		spec.Title = fmt.Sprintf("bcast%d", id)
 	}
-	b := &Broadcast{site: st, spec: spec, id: id, factor: 1, viewers: make(map[int]int)}
+	b := &Broadcast{
+		tier: tier{site: st, factor: 1, spec: SessionSpec{
+			InPort: spec.InPort, PeakRate: spec.PeakRate, MinRateFrac: spec.MinRateFrac,
+			Title: spec.Title, FrameBytes: spec.FrameBytes, FrameHz: spec.FrameHz, CPU: spec.CPU,
+		}},
+		id: id, unicast: spec.Unicast, viewers: make(map[int]int),
+	}
 	if !spec.Unicast {
 		circ, err := st.Signalling.EstablishTree(spec.InPort, spec.PeakRate)
 		if err != nil {
-			st.traceBcast(b, "broadcast-refused", err)
+			st.traceBcast(b, "broadcast-refused", spec.PeakRate, err)
 			return nil, err
 		}
 		b.circ = circ
 	}
 	if spec.CPU != nil {
-		fb, hz := spec.cpuGeometryAt(1)
+		fb, hz := b.cpuGeometryAt(1)
 		sd, err := spec.CPU.AdmitStream(fmt.Sprintf("bcast%d", id), fb, hz)
 		if err != nil {
 			if b.circ != nil {
 				_ = st.Signalling.TearDown(b.circ.ID)
 				b.circ = nil
 			}
-			st.traceBcast(b, "broadcast-refused", err)
+			st.traceBcast(b, "broadcast-refused", spec.PeakRate, err)
 			return nil, err
 		}
 		b.cpu = sd
@@ -211,7 +175,7 @@ func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 	st.LiveStats.Broadcasts++
 	st.Metrics.Gauge(telemetry.Key{Node: spec.Title, Subsystem: "live", Name: "viewers"},
 		func() float64 { return float64(b.nviewers) })
-	st.traceBcast(b, "broadcast-open", nil)
+	st.traceBcast(b, "broadcast-open", spec.PeakRate, nil)
 	return b, nil
 }
 
@@ -237,7 +201,7 @@ func (b *Broadcast) VCI() atm.VCI {
 func (b *Broadcast) Circuit() *netsig.Circuit { return b.circ }
 
 // Rate reports the tree's currently admitted rate per branch in bits/s.
-func (b *Broadcast) Rate() int64 { return b.spec.rateAt(b.factor) }
+func (b *Broadcast) Rate() int64 { return b.rateAt(b.factor) }
 
 // FullRate reports the full-quality rate the channel was opened for.
 func (b *Broadcast) FullRate() int64 { return b.spec.PeakRate }
@@ -272,8 +236,8 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 	if b.closed {
 		return nil, ErrBroadcastClosed
 	}
-	if b.spec.Unicast {
-		circ, err := st.Signalling.Establish(b.spec.InPort, []int{port}, b.spec.rateAt(b.factor), false)
+	if b.unicast {
+		circ, err := st.Signalling.Establish(b.spec.InPort, []int{port}, b.rateAt(b.factor), false)
 		if err != nil {
 			st.noteJoinRefusal(b, port, err)
 			return nil, err
@@ -283,7 +247,7 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 		b.viewers[port]++
 		b.nviewers++
 		st.LiveStats.Joins++
-		st.traceJoin(b, port, "join")
+		st.traceBcast(b, "join", int64(port), nil)
 		return j, nil
 	}
 	if b.viewers[port] == 0 {
@@ -295,7 +259,7 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 	b.viewers[port]++
 	b.nviewers++
 	st.LiveStats.Joins++
-	st.traceJoin(b, port, "join")
+	st.traceBcast(b, "join", int64(port), nil)
 	return &Join{b: b, port: port}, nil
 }
 
@@ -309,12 +273,9 @@ func (b *Broadcast) growBranch(port int) error {
 		return err
 	}
 	before := b.factor
-	floor := b.spec.floorFrac()
+	floor := b.floor()
 	for _, rung := range append(qosLadder[:], 0) {
-		f := rung
-		if f < floor {
-			f = floor
-		}
+		f := max(rung, floor)
 		if f >= b.factor {
 			continue
 		}
@@ -322,7 +283,7 @@ func (b *Broadcast) growBranch(port int) error {
 			break // a shrink cannot refuse; bail on the unexpected
 		}
 		st.LiveStats.SubtreeDegraded++
-		st.traceTier(b, "subtree-degrade")
+		st.traceBcast(b, "subtree-degrade", b.Rate(), nil)
 		err = st.Signalling.JoinTree(b.circ.ID, port)
 		if err == nil {
 			return nil
@@ -336,36 +297,10 @@ func (b *Broadcast) growBranch(port int) error {
 	if b.factor < before {
 		if rerr := b.setLevel(before); rerr == nil {
 			st.LiveStats.SubtreeRestored++
-			st.traceTier(b, "subtree-restore")
+			st.traceBcast(b, "subtree-restore", b.Rate(), nil)
 		}
 	}
 	return err
-}
-
-// setLevel moves the channel to quality tier f atomically: the tree's
-// rate renegotiates first (every branch plus the uplink, in place),
-// then the source's CPU contract; a refused CPU grow rolls the rate
-// back, so a failed restore leaves the channel exactly as it was.
-func (b *Broadcast) setLevel(f float64) error {
-	st := b.site
-	oldRate := b.circ.PeakRate
-	newRate := b.spec.rateAt(f)
-	if newRate != oldRate {
-		if err := st.Signalling.ModifyRate(b.circ.ID, newRate); err != nil {
-			return err
-		}
-	}
-	if b.cpu != nil {
-		fb, _ := b.spec.cpuGeometryAt(f)
-		if err := b.cpu.Reshape(fb); err != nil {
-			if newRate != oldRate {
-				_ = st.Signalling.ModifyRate(b.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	b.factor = f
-	return nil
 }
 
 // Leave removes the viewer: the port's branch is pruned when this was
@@ -402,29 +337,20 @@ func (j *Join) Leave() error {
 		err = st.Signalling.LeaveTree(b.circ.ID, j.port)
 	}
 	st.LiveStats.Leaves++
-	st.traceJoin(b, j.port, "leave")
+	st.traceBcast(b, "leave", int64(j.port), nil)
 	b.tryRestore()
 	return err
 }
 
-// tryRestore climbs a degraded subtree toward full quality: full
-// first, then the ladder rungs above the current tier, taking the
-// highest the budgets now admit.
+// tryRestore climbs a degraded subtree toward full quality, taking
+// the highest tier the budgets now admit.
 func (b *Broadcast) tryRestore() {
 	if b.closed || b.factor >= 1 {
 		return
 	}
-	st := b.site
-	for _, f := range append([]float64{1}, qosLadder[:]...) {
-		if f <= b.factor {
-			continue
-		}
-		if err := b.setLevel(f); err != nil {
-			continue
-		}
-		st.LiveStats.SubtreeRestored++
-		st.traceTier(b, "subtree-restore")
-		return
+	if b.climb(1) == nil {
+		b.site.LiveStats.SubtreeRestored++
+		b.site.traceBcast(b, "subtree-restore", b.Rate(), nil)
 	}
 }
 
@@ -437,7 +363,7 @@ func (b *Broadcast) Close() error {
 		return nil
 	}
 	st := b.site
-	st.traceBcast(b, "broadcast-close", nil)
+	st.traceBcast(b, "broadcast-close", b.spec.PeakRate, nil)
 	b.closed = true
 	var err error
 	if b.circ != nil {
@@ -505,8 +431,12 @@ func (st *Site) noteJoinRefusal(b *Broadcast, port int, err error) {
 	tr.Record(tr.GlobalShard(), ev)
 }
 
-// traceBcast records a channel lifecycle event. Global context only.
-func (st *Site) traceBcast(b *Broadcast, event string, err error) {
+// traceBcast records a channel event — lifecycle, viewer join/leave
+// or subtree tier change — with the channel's current tier. rate is
+// the event's RateBPS column: the full rate for lifecycle events, the
+// tier's rate for tier changes and, for joins and leaves, the viewer's
+// port. Global context only.
+func (st *Site) traceBcast(b *Broadcast, event string, rate int64, err error) {
 	tr := st.tracer
 	if tr == nil {
 		return
@@ -517,7 +447,7 @@ func (st *Site) traceBcast(b *Broadcast, event string, err error) {
 		Session: int64(b.id),
 		Node:    b.spec.Title,
 		Factor:  b.factor,
-		RateBPS: b.spec.PeakRate,
+		RateBPS: rate,
 	}
 	if err != nil {
 		ev.Err = err.Error()
@@ -526,36 +456,4 @@ func (st *Site) traceBcast(b *Broadcast, event string, err error) {
 		}
 	}
 	tr.Record(tr.GlobalShard(), ev)
-}
-
-// traceJoin records a viewer join/leave. Global context only.
-func (st *Site) traceJoin(b *Broadcast, port int, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Factor:  b.factor,
-		RateBPS: int64(port),
-	})
-}
-
-// traceTier records a subtree tier change. Global context only.
-func (st *Site) traceTier(b *Broadcast, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Factor:  b.factor,
-		RateBPS: b.Rate(),
-	})
 }

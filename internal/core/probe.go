@@ -197,7 +197,7 @@ func (st *Site) Probe(spec SessionSpec) AdmissionReport {
 		if cr.Headroom < 0 {
 			cr.Headroom = 0
 		}
-		fb, hz := spec.cpuGeometryAt(1)
+		fb, hz := (&tier{spec: spec}).cpuGeometryAt(1)
 		cr.OK = spec.CPU.CanServe(fb, hz)
 	}
 

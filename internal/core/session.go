@@ -125,55 +125,6 @@ type SessionSpec struct {
 // if the stream delivered DefaultCPUHz frames per second.
 const DefaultCPUHz = 100
 
-func (sp *SessionSpec) floorFrac() float64 {
-	if sp.MinRateFrac > 0 {
-		return sp.MinRateFrac
-	}
-	return DefaultMinRateFrac
-}
-
-// rateAt is the admitted link rate at quality factor f. Rounded to
-// nearest so a factor derived from a requested rate (Renegotiate)
-// round-trips to exactly that rate.
-func (sp *SessionSpec) rateAt(f float64) int64 {
-	r := int64(float64(sp.PeakRate)*f + 0.5)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
-// frameBytesAt is the served frame size at quality factor f.
-func (sp *SessionSpec) frameBytesAt(f float64) int {
-	fb := int(float64(sp.FrameBytes)*f + 0.5)
-	if fb < 1 {
-		fb = 1
-	}
-	if fb > sp.FrameBytes {
-		fb = sp.FrameBytes
-	}
-	return fb
-}
-
-// cpuGeometryAt derives the CPU contract's frame geometry at quality
-// factor f: the served frame size and rate for disk-backed streams, or
-// a DefaultCPUHz equivalent carved from the admitted link rate for
-// link-only streams — either way, slice/period ∝ the session's rate.
-func (sp *SessionSpec) cpuGeometryAt(f float64) (frameBytes, frameHz int) {
-	frameHz = sp.FrameHz
-	if frameHz <= 0 {
-		frameHz = DefaultCPUHz
-	}
-	if sp.FrameBytes > 0 {
-		return sp.frameBytesAt(f), frameHz
-	}
-	fb := int(sp.rateAt(f) / 8 / int64(frameHz))
-	if fb < 1 {
-		fb = 1
-	}
-	return fb, frameHz
-}
-
 // SessionStats counts stream-plane activity on a site.
 type SessionStats struct {
 	Opened   int64 // sessions admitted (any class)
@@ -198,17 +149,8 @@ type SessionStats struct {
 // through renegotiation and teardown. It is the only public admission
 // handle the site hands out.
 type Session struct {
-	site *Site
-	spec SessionSpec
-	id   int
-
-	circ *netsig.Circuit
-	cm   *fileserver.CMStream
-	cpu  *StreamDomain
-
-	// factor is the current quality level: 1 is full quality, lower is
-	// a degraded tier; never below spec.floorFrac() while open.
-	factor float64
+	tier
+	id     int
 	closed bool
 }
 
@@ -270,11 +212,6 @@ func (s *Session) Degraded() bool { return !s.closed && s.factor < 1 }
 // Closed reports whether the session has been torn down.
 func (s *Session) Closed() bool { return s.closed }
 
-// qosLadder is the shared tier ladder degradation and restoration walk:
-// every contending Adaptive session sits at the same rung, which is
-// what makes the scaling proportional.
-var qosLadder = [...]float64{0.75, 0.5, 0.25}
-
 // OpenSession is the site's one admission API: it admits the described
 // stream end to end and returns the session that owns every resource
 // the admission charged. Refusals hold nothing — in particular a disk
@@ -314,7 +251,7 @@ func (st *Site) OpenSession(spec SessionSpec) (*Session, error) {
 			st.noteRefusal(&spec, err)
 			return nil, err
 		}
-		s := &Session{site: st, spec: spec, id: circ.ID, circ: circ, factor: 1}
+		s := &Session{tier: tier{site: st, spec: spec, circ: circ, factor: 1}, id: circ.ID}
 		st.sessions = append(st.sessions, s)
 		st.QoSStats.Opened++
 		st.traceAdmitted(s)
@@ -353,7 +290,8 @@ func isOverSubscription(err error) bool {
 // link, then disk, then CPU, with full rollback so a refusal by any leg
 // holds nothing.
 func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
-	circ, err := st.Signalling.Establish(spec.InPort, spec.OutPorts, spec.rateAt(f), false)
+	t := tier{site: st, spec: spec, factor: f}
+	circ, err := st.Signalling.Establish(spec.InPort, spec.OutPorts, t.rateAt(f), false)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +303,7 @@ func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
 		// ErrNoWake falls through to ordinary disk admission; degraded
 		// tiers go straight to the disks (the wake is full-quality
 		// windows only).
-		sfb := spec.frameBytesAt(f)
+		sfb := t.frameBytesAt(f)
 		cmh = nil
 		if sfb == spec.FrameBytes {
 			cmh, err = spec.CM.AdmitCached(spec.Title, spec.FrameBytes, spec.FrameHz)
@@ -386,7 +324,7 @@ func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
 	}
 	var sd *StreamDomain
 	if spec.CPU != nil {
-		fb, hz := spec.cpuGeometryAt(f)
+		fb, hz := t.cpuGeometryAt(f)
 		sd, err = spec.CPU.AdmitStream(fmt.Sprintf("stream%d", circ.ID), fb, hz)
 		if err != nil {
 			// Rollback both earlier legs: a stream the CPU cannot carry
@@ -398,7 +336,8 @@ func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{site: st, spec: spec, id: circ.ID, circ: circ, cm: cmh, cpu: sd, factor: f}
+	t.circ, t.cm, t.cpu = circ, cmh, sd
+	s := &Session{tier: t, id: circ.ID}
 	st.sessions = append(st.sessions, s)
 	if cmh != nil {
 		st.cmSessions[cmh] = s
@@ -430,17 +369,14 @@ func (st *Site) openDegrading(spec SessionSpec, refusal error) (*Session, error)
 			}
 		}
 	}
-	floor := spec.floorFrac()
+	floor := (&tier{spec: spec}).floor()
 	// The final 0 rung pulls every peer to its own floor (degradeTo
 	// clamps), covering peers whose floors sit below the ladder.
 	for _, rung := range append(qosLadder[:], 0) {
 		for _, p := range peers {
 			p.degradeTo(rung)
 		}
-		f := rung
-		if f < floor {
-			f = floor
-		}
+		f := max(rung, floor)
 		s, err := st.openAt(spec, f)
 		if err == nil {
 			countResidual()
@@ -458,7 +394,7 @@ func (st *Site) openDegrading(spec SessionSpec, refusal error) (*Session, error)
 	// the site permanently degraded.
 	for i, p := range peers {
 		if !p.closed && p.factor < before[i] {
-			_ = p.restoreTo(before[i])
+			_ = p.climb(before[i])
 		}
 	}
 	countResidual()
@@ -518,48 +454,6 @@ func (st *Site) Sessions() []*Session {
 	return out
 }
 
-// setLevel moves the session to quality factor f atomically: the link
-// leg renegotiates first, then the disk leg, then the CPU leg; if a
-// later leg refuses a grow, the earlier grows are rolled back (shrinks,
-// which cannot fail), so a refused renegotiation leaves the session
-// exactly as it was. Shrinks cannot be refused by any leg.
-func (s *Session) setLevel(f float64) error {
-	if s.closed {
-		return ErrSessionClosed
-	}
-	oldRate := s.circ.PeakRate
-	newRate := s.spec.rateAt(f)
-	if newRate != oldRate {
-		if err := s.site.Signalling.ModifyRate(s.circ.ID, newRate); err != nil {
-			return err
-		}
-	}
-	oldFB := 0
-	if s.cm != nil {
-		oldFB = s.cm.FrameBytes()
-		if err := s.spec.CM.Reshape(s.cm, s.spec.frameBytesAt(f), s.spec.FrameHz); err != nil {
-			if newRate != oldRate {
-				_ = s.site.Signalling.ModifyRate(s.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	if s.cpu != nil {
-		fb, _ := s.spec.cpuGeometryAt(f)
-		if err := s.cpu.Reshape(fb); err != nil {
-			if s.cm != nil {
-				_ = s.spec.CM.Reshape(s.cm, oldFB, s.spec.FrameHz)
-			}
-			if newRate != oldRate {
-				_ = s.site.Signalling.ModifyRate(s.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	s.factor = f
-	return nil
-}
-
 // Renegotiate re-admits the session at newRate bits/s in place: no
 // teardown, no new VCI, no instant without the guarantee. Shrinking
 // always succeeds and frees the difference immediately; growing is
@@ -585,9 +479,7 @@ func (s *Session) Renegotiate(newRate int64) error {
 	}
 	wasDegraded := s.factor < 1
 	f := float64(newRate) / float64(s.spec.PeakRate)
-	if floor := s.spec.floorFrac(); f < floor {
-		f = floor
-	}
+	f = max(f, s.floor())
 	if err := s.setLevel(f); err != nil {
 		return err
 	}
@@ -613,10 +505,7 @@ func (s *Session) Degrade(factor float64) error {
 	if factor <= 0 || factor >= 1 {
 		return fmt.Errorf("core: degrade factor must be in (0,1), got %g", factor)
 	}
-	nf := s.factor * factor
-	if floor := s.spec.floorFrac(); nf < floor {
-		nf = floor
-	}
+	nf := max(s.factor*factor, s.floor())
 	if nf >= s.factor {
 		return nil // already at (or below) the floor
 	}
@@ -633,9 +522,7 @@ func (s *Session) Degrade(factor float64) error {
 // session already sits at or below the rung. It does not count an
 // event — the caller counts only changes that outlive the pass.
 func (s *Session) degradeTo(f float64) {
-	if floor := s.spec.floorFrac(); f < floor {
-		f = floor
-	}
+	f = max(f, s.floor())
 	if s.closed || f >= s.factor {
 		return
 	}
@@ -653,33 +540,12 @@ func (s *Session) Restore() error {
 	if s.factor >= 1 {
 		return nil
 	}
-	if err := s.restoreTo(1); err != nil {
+	if err := s.climb(1); err != nil {
 		return err
 	}
 	s.site.QoSStats.Restored++
 	s.site.traceVerb(s, "restore")
 	return nil
-}
-
-// restoreTo climbs toward target, trying target first and then every
-// ladder rung between target and the current tier. Pure mechanics; the
-// caller decides whether the climb counts as a restore event.
-func (s *Session) restoreTo(target float64) error {
-	steps := append([]float64{target}, qosLadder[:]...)
-	var firstErr error
-	for _, f := range steps {
-		if f > target || f <= s.factor {
-			continue
-		}
-		if err := s.setLevel(f); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return nil
-	}
-	return firstErr
 }
 
 // Close tears the session down end to end — circuit, uplink charge,

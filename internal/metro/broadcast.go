@@ -295,10 +295,7 @@ func (ch *LiveChannel) traceTrunkRefusal(site int, err error) {
 	if tr == nil {
 		return
 	}
-	th := ch.m.members[ch.home].Trunk.Headroom()
-	if h := ch.m.members[site].Trunk.Headroom(); h < th {
-		th = h
-	}
+	th := min(ch.m.members[ch.home].Trunk.Headroom(), ch.m.members[site].Trunk.Headroom())
 	tr.Record(tr.GlobalShard(), telemetry.Event{
 		T:     ch.m.clock.Now(),
 		Event: "join-refused",

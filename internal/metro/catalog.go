@@ -12,8 +12,10 @@ package metro
 // at one home site crosses Config.SpillThreshold.
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/vodsite"
 )
 
@@ -106,12 +108,15 @@ func (mb *Member) CatalogView(title string) (CatalogView, bool) {
 	}, true
 }
 
+// syncEvery is the catalog anti-entropy cadence.
+const syncEvery = 250 * sim.Millisecond
+
 // syncTick is the self-re-arming anti-entropy heartbeat. It rides
 // CallAfter rather than the cluster's barrier hook, which is a single
 // slot the telemetry sampler owns.
 func (m *Controller) syncTick() {
 	m.SyncCatalog()
-	m.clock.CallAfter(m.cfg.SyncEvery, m.syncTick)
+	m.clock.CallAfter(syncEvery, m.syncTick)
 }
 
 // SyncCatalog runs one anti-entropy round: each alive site exchanges
@@ -175,13 +180,22 @@ func (m *Controller) exchange(a, b *Member) int {
 	return n
 }
 
+// crossCopy is one lazy cross-site byte replication in flight: the
+// vodsite copy engine moving a title from site from onto site home.
+type crossCopy struct {
+	*vodsite.Copy
+	title      string
+	home, from int
+}
+
 // maybeCopy triggers a lazy cross-site byte replication when a title's
 // spill pressure at its home site crosses the threshold and the home
 // site does not hold the bytes. The copy itself is pure background
-// traffic: chunked best-effort reads off the least-loaded node of the
-// nearest holder site, written and synced onto the home site's
-// least-loaded node, then activated via AdoptReplica — from that point
-// the home site admits the title on its own capacity.
+// traffic on vodsite's copy engine: best-effort reads off the
+// least-loaded node of the nearest holder site, written and synced
+// onto the home site's least-loaded node, then activated via
+// AdoptReplica — from that point the home site admits the title on
+// its own capacity.
 func (m *Controller) maybeCopy(home int, title string) {
 	if m.cfg.SpillThreshold < 0 {
 		return
@@ -200,13 +214,9 @@ func (m *Controller) maybeCopy(home int, title string) {
 		return
 	}
 	var sm *Member
-	for off := 1; off < len(m.members); off++ {
-		idx := (home + off) % len(m.members)
-		if holdsSite(ent.Holders, idx) && !m.members[idx].failed &&
-			m.members[idx].Ctrl.Lookup(title) != nil {
-			sm = m.members[idx]
-			break
-		}
+	for c := range m.spillCandidates(home, title, ent) {
+		sm = c
+		break
 	}
 	if sm == nil {
 		return
@@ -217,15 +227,42 @@ func (m *Controller) maybeCopy(home int, title string) {
 		return
 	}
 	hm.pressure[title] = 0
-	cp := &metroCopy{
-		m: m, title: title, home: home, from: sm.Index,
-		src: src, dst: dst,
-		bytes: ent.Bytes, fb: ent.FrameBytes, hz: ent.FrameHz,
-		chunk: 256 << 10,
-	}
+	cp := &crossCopy{title: title, home: home, from: sm.Index}
+	cp.Copy = vodsite.NewCopy(src, dst, title, ent.Bytes, func(ok bool) {
+		m.copies = slices.DeleteFunc(m.copies, func(x *crossCopy) bool { return x == cp })
+		if !ok || hm.failed || dst.Failed() {
+			m.Stats.CrossCopiesAborted++
+			return
+		}
+		m.activateCopy(hm, dst, title, ent)
+	})
 	m.copies = append(m.copies, cp)
 	m.Stats.CrossCopiesTriggered++
-	cp.start()
+	cp.Start()
+}
+
+// activateCopy makes a completed cross-site copy servable: the home
+// site's vodsite catalog learns the title (AddTitle if this is its
+// first sight of it, AdoptReplica for the node), and the home's
+// catalog row gains itself as a holder at a fresh version for
+// anti-entropy to spread.
+func (m *Controller) activateCopy(hm *Member, dst *vodsite.Node, title string, ent *entry) {
+	t := hm.Ctrl.Lookup(title)
+	if t == nil {
+		t = hm.Ctrl.AddTitle(title, ent.Bytes, ent.FrameBytes, ent.FrameHz)
+	}
+	hm.Ctrl.AdoptReplica(t, dst)
+	if cur := hm.cat[title]; cur != nil && !holdsSite(cur.Holders, hm.Index) {
+		m.catVersion++
+		ne := cur.clone()
+		ne.Version = m.catVersion
+		ne.Holders = insertSite(ne.Holders, hm.Index)
+		hm.cat[title] = ne
+	}
+	m.Stats.CrossCopiesCompleted++
+	if cb := m.OnReplica; cb != nil {
+		cb(hm.Index, title)
+	}
 }
 
 // leastLoadedNode picks the alive started node carrying the fewest
@@ -244,133 +281,5 @@ func leastLoadedNode(c *vodsite.Controller) *vodsite.Node {
 	return best
 }
 
-// metroCopy is one cross-site background replication. It mirrors the
-// intra-site copyJob — create sparse, chunked ReadBestEffort off the
-// source, Defer to the barrier, Write, Sync, activate — but the source
-// and destination nodes live on different sites (and, sharded,
-// different partitions), which the Defer hand-off already covers.
-type metroCopy struct {
-	m          *Controller
-	title      string
-	home, from int
-	src, dst   *vodsite.Node
-	bytes      int64
-	fb, hz     int
-	chunk      int
-	off        int64
-	created    bool
-	aborted    bool
-}
-
-func (cp *metroCopy) start() {
-	if err := cp.dst.SS.Server.Create(cp.title, true); err != nil {
-		cp.abort()
-		return
-	}
-	cp.created = true
-	cp.step()
-}
-
-func (cp *metroCopy) step() {
-	if cp.aborted {
-		return
-	}
-	if cp.off >= cp.bytes {
-		cp.finish()
-		return
-	}
-	off := cp.off
-	n := int64(cp.chunk)
-	if rest := cp.bytes - off; rest < n {
-		n = rest
-	}
-	cp.src.SS.CM.ReadBestEffort(cp.title, off, int(n), func(data []byte, err error) {
-		// Completes on the source site's partition; the write lands on
-		// the home site's partition, so hand the body to the barrier.
-		cp.src.SS.Net.Sim.Defer(func() {
-			if cp.aborted {
-				return
-			}
-			if err != nil {
-				cp.abort()
-				return
-			}
-			if err := cp.dst.SS.Server.Write(cp.title, off, data); err != nil {
-				cp.abort()
-				return
-			}
-			cp.off = off + int64(len(data))
-			cp.step()
-		})
-	})
-}
-
-func (cp *metroCopy) finish() {
-	cp.dst.SS.Server.FS().Sync(func(err error) {
-		cp.dst.SS.Net.Sim.Defer(func() {
-			if cp.aborted {
-				return
-			}
-			if err != nil {
-				cp.abort()
-				return
-			}
-			cp.done()
-		})
-	})
-}
-
-// done activates the replica: the home site's vodsite catalog learns
-// the title (AddTitle if this is its first sight of it, AdoptReplica
-// for the node), and the home's catalog row gains itself as a holder
-// at a fresh version for anti-entropy to spread.
-func (cp *metroCopy) done() {
-	m := cp.m
-	m.removeCopy(cp)
-	hm := m.members[cp.home]
-	if hm.failed || cp.dst.Failed() {
-		m.Stats.CrossCopiesAborted++
-		return
-	}
-	t := hm.Ctrl.Lookup(cp.title)
-	if t == nil {
-		t = hm.Ctrl.AddTitle(cp.title, cp.bytes, cp.fb, cp.hz)
-	}
-	hm.Ctrl.AdoptReplica(t, cp.dst)
-	if ent := hm.cat[cp.title]; ent != nil && !holdsSite(ent.Holders, cp.home) {
-		m.catVersion++
-		ne := ent.clone()
-		ne.Version = m.catVersion
-		ne.Holders = insertSite(ne.Holders, cp.home)
-		hm.cat[cp.title] = ne
-	}
-	m.Stats.CrossCopiesCompleted++
-	if cb := m.OnReplica; cb != nil {
-		cb(cp.home, cp.title)
-	}
-}
-
-func (cp *metroCopy) abort() {
-	if cp.aborted {
-		return
-	}
-	cp.aborted = true
-	m := cp.m
-	m.removeCopy(cp)
-	m.Stats.CrossCopiesAborted++
-	if cp.created && !cp.dst.Failed() {
-		_ = cp.dst.SS.Server.Delete(cp.title)
-	}
-}
-
 // Copying reports cross-site copies in flight.
 func (m *Controller) Copying() int { return len(m.copies) }
-
-func (m *Controller) removeCopy(cp *metroCopy) {
-	for i, x := range m.copies {
-		if x == cp {
-			m.copies = append(m.copies[:i], m.copies[i+1:]...)
-			return
-		}
-	}
-}

@@ -9,7 +9,7 @@
 //     the whole (small, slowly changing) metadata set, so the spill
 //     candidate lookup is always site-local; versioned entries
 //     reconcile by anti-entropy at sync ticks while bulk title bytes
-//     replicate lazily along the PR-3 best-effort slack-copy path;
+//     replicate lazily on vodsite's best-effort copy engine;
 //   - spill admission: OpenSession tries the viewer's home site
 //     first, and on refusal probes neighbor sites holding the title,
 //     admitting remotely with the inter-site trunk as an explicit
@@ -37,6 +37,7 @@ package metro
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -76,8 +77,6 @@ type Config struct {
 	// CoreFabricDelay is the core switch transit time per cell
 	// (default: the site fabric delay).
 	CoreFabricDelay sim.Duration
-	// SyncEvery is the catalog anti-entropy cadence (default 250ms).
-	SyncEvery sim.Duration
 	// NoSpill disables remote admission — the single-site ablation:
 	// a refusal at the home site is final.
 	NoSpill bool
@@ -102,9 +101,6 @@ func (cfg *Config) setDefaults() {
 	}
 	if cfg.CoreFabricDelay == 0 {
 		cfg.CoreFabricDelay = cfg.Site.FabricDelay
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 250 * sim.Millisecond
 	}
 	if cfg.SpillThreshold == 0 {
 		cfg.SpillThreshold = 4
@@ -203,7 +199,7 @@ type Controller struct {
 	members    []*Member
 	titles     []string // global catalog order (AddTitle order)
 	sessions   []*Session
-	copies     []*metroCopy
+	copies     []*crossCopy
 	nextID     int64
 	catVersion int64
 }
@@ -320,8 +316,8 @@ func (m *Controller) Start(cfg fileserver.CMConfig) {
 	for _, mb := range m.members {
 		mb.Ctrl.Start(cfg)
 	}
-	if m.cfg.SyncEvery > 0 && len(m.members) > 1 {
-		m.clock.CallAfter(m.cfg.SyncEvery, m.syncTick)
+	if len(m.members) > 1 {
+		m.clock.CallAfter(syncEvery, m.syncTick)
 	}
 }
 
@@ -480,16 +476,8 @@ func (m *Controller) admit(s *Session) error {
 
 	var lastErr error
 	trunkShort := false
-	K := len(m.members)
-	for off := 1; off < K; off++ {
-		idx := (s.Home + off) % K
-		if !holdsSite(ent.Holders, idx) {
-			continue
-		}
-		sm := m.members[idx]
-		if sm.failed || sm.Ctrl.Lookup(s.Title) == nil {
-			continue
-		}
+	for sm := range m.spillCandidates(s.Home, s.Title, ent) {
+		idx := sm.Index
 		rep := sm.Ctrl.Probe(s.Title, sm.trunkPort)
 		if !rep.OK {
 			lastErr = fmt.Errorf("%w: metro: site %d refused %q on %s",
@@ -541,6 +529,31 @@ func (m *Controller) admit(s *Session) error {
 	return fmt.Errorf("%w: metro: no site holds %q", vodsite.ErrNoReplica, s.Title)
 }
 
+// spillCandidates yields the sites that may serve title for a viewer
+// homed at home, in the order every spill decision tries them: the
+// row's holder sites in ring order after home, skipping failed sites
+// and sites whose vodsite catalog lacks the title. Each candidate is
+// checked as it is reached, so state changed by the caller between
+// candidates is seen.
+func (m *Controller) spillCandidates(home int, title string, ent *entry) iter.Seq[*Member] {
+	return func(yield func(*Member) bool) {
+		K := len(m.members)
+		for off := 1; off < K; off++ {
+			idx := (home + off) % K
+			if !holdsSite(ent.Holders, idx) {
+				continue
+			}
+			sm := m.members[idx]
+			if sm.failed || sm.Ctrl.Lookup(title) == nil {
+				continue
+			}
+			if !yield(sm) {
+				return
+			}
+		}
+	}
+}
+
 // Probe answers "would OpenSession(home, title, viewerPort) admit
 // right now, and where" without holding anything: the home site's
 // report when it would admit locally, otherwise the first admitting
@@ -571,25 +584,13 @@ func (m *Controller) Probe(home int, title string, viewerPort int) (core.Admissi
 	link := hm.Site.Probe(core.SessionSpec{
 		Class: m.cfg.Vod.Class, OutPorts: []int{viewerPort}, PeakRate: rate,
 	}).Leg(core.LegLink)
-	K := len(m.members)
-	for off := 1; off < K; off++ {
-		idx := (home + off) % K
-		if !holdsSite(ent.Holders, idx) {
-			continue
-		}
-		sm := m.members[idx]
-		if sm.failed || sm.Ctrl.Lookup(title) == nil {
-			continue
-		}
+	for sm := range m.spillCandidates(home, title, ent) {
 		rep := sm.Ctrl.Probe(title, sm.trunkPort)
 		rep.Legs[core.LegLink] = link
 		tl := &rep.Legs[core.LegTrunk]
 		tl.Present = true
 		tl.OK = sm.Trunk.CanUp(rate) && hm.Trunk.CanDown(rate)
-		tl.Headroom = sm.Trunk.Headroom()
-		if h := hm.Trunk.Headroom(); h < tl.Headroom {
-			tl.Headroom = h
-		}
+		tl.Headroom = min(sm.Trunk.Headroom(), hm.Trunk.Headroom())
 		if rep.OK && (!link.OK || !tl.OK) {
 			rep.OK = false
 			if !link.OK {
@@ -600,7 +601,7 @@ func (m *Controller) Probe(home int, title string, viewerPort int) (core.Admissi
 		}
 		last = rep
 		if rep.OK {
-			return rep, idx
+			return rep, sm.Index
 		}
 	}
 	return last, -1
@@ -621,10 +622,7 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 		}
 		legs = append(legs, telemetry.LegSample{Leg: lr.Leg.String(), OK: lr.OK, Headroom: lr.Headroom})
 	}
-	th := m.members[s.Served].Trunk.Headroom()
-	if h := m.members[s.Home].Trunk.Headroom(); h < th {
-		th = h
-	}
+	th := min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())
 	legs = append(legs, telemetry.LegSample{Leg: core.LegTrunk.String(), OK: true, Headroom: th})
 	tr.Record(tr.GlobalShard(), telemetry.Event{
 		T:       m.clock.Now(),
@@ -663,9 +661,9 @@ func (m *Controller) FailSite(idx int) FailReport {
 		return rep
 	}
 	vm.failed = true
-	for _, cp := range append([]*metroCopy(nil), m.copies...) {
+	for _, cp := range append([]*crossCopy(nil), m.copies...) {
 		if cp.home == idx || cp.from == idx {
-			cp.abort()
+			cp.Abort()
 		}
 	}
 	// Strike the site from every survivor's catalog view, one version

@@ -214,7 +214,7 @@ func TestCatalogAntiEntropy(t *testing.T) {
 
 	// The timed tick runs rounds on its own.
 	before := m.Stats.CatalogSyncs
-	m.Clock().RunFor(2 * m.cfg.SyncEvery)
+	m.Clock().RunFor(2 * syncEvery)
 	if m.Stats.CatalogSyncs <= before {
 		t.Fatal("anti-entropy tick never fired")
 	}
@@ -422,5 +422,53 @@ func TestMetroNoSpillAblation(t *testing.T) {
 	}
 	if m.Member(0).Stats.Refused != 1 || m.Stats.Spilled != 0 {
 		t.Fatalf("ablation scoreboard %+v %+v", m.Member(0).Stats, m.Stats)
+	}
+}
+
+// TestMetroCrossCopyAbortOnSourceSiteFailure: a source-site failure
+// mid-copy aborts the cross-site replication. The home site never
+// starts holding the title, and the aborted copy stamps no new version
+// on the home catalog row.
+func TestMetroCrossCopyAbortOnSourceSiteFailure(t *testing.T) {
+	cfg := Config{
+		Sites:          2,
+		Vod:            vodsite.Config{ReplicationDisabled: true},
+		SpillThreshold: 2,
+	}
+	h := buildMetro(t, cfg, 1, 6, 1, func(int) []int { return []int{1} })
+	m := h.m
+	m.OnReplica = func(home int, title string) {
+		t.Errorf("aborted copy activated: OnReplica(%d, %s)", home, title)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.OpenSession(0, titleName(0), h.viewers[0][i].Port); err != nil {
+			t.Fatalf("spill %d: %v", i, err)
+		}
+	}
+	m.Clock().RunFor(10 * sim.Millisecond)
+	if m.Copying() != 1 || m.Stats.CrossCopiesTriggered != 1 {
+		t.Fatalf("copy not in flight: copying=%d %+v", m.Copying(), m.Stats)
+	}
+
+	m.FailSite(1)
+	if m.Stats.CrossCopiesAborted != 1 || m.Copying() != 0 {
+		t.Fatalf("copy not aborted: copying=%d %+v", m.Copying(), m.Stats)
+	}
+	before, _ := m.Member(0).CatalogView(titleName(0))
+	m.Clock().RunFor(3 * sim.Second)
+	if m.Member(0).Ctrl.Lookup(titleName(0)) != nil {
+		t.Fatal("home site holds the title after an aborted copy")
+	}
+	for _, n := range m.Member(0).Ctrl.Nodes() {
+		if n.SS.Server.Exists(titleName(0)) {
+			t.Fatalf("partial copy left on home node %d", n.ID)
+		}
+	}
+	after, _ := m.Member(0).CatalogView(titleName(0))
+	if after.Version != before.Version || holdsSite(after.Holders, 0) {
+		t.Fatalf("home catalog row moved: before %+v after %+v", before, after)
+	}
+	if m.Stats.CrossCopiesAborted != 1 || m.Stats.CrossCopiesCompleted != 0 {
+		t.Fatalf("copy scoreboard %+v", m.Stats)
 	}
 }

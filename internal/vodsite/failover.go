@@ -25,9 +25,9 @@ func (c *Controller) FailNode(n *Node) FailReport {
 		n.SS.CM.Stop()
 	}
 	// Abort copies reading from or writing to the dead node.
-	for _, j := range append([]*copyJob(nil), c.copies...) {
-		if j.src == n || j.dst == n {
-			j.abort()
+	for _, cp := range append([]*Copy(nil), c.copies...) {
+		if cp.src == n || cp.dst == n {
+			cp.Abort()
 		}
 	}
 	// The node is gone from every replica set: admission must never

@@ -8,6 +8,8 @@ package vodsite
 // replica joins the catalog only once the copy is durable on the
 // target's array.
 
+import "slices"
+
 // maybeReplicate schedules a background copy if the title's refusal
 // count has crossed the threshold and a source/target pair exists.
 func (c *Controller) maybeReplicate(t *Title) {
@@ -38,32 +40,50 @@ func (c *Controller) maybeReplicate(t *Title) {
 	t.pendingRefusals = 0
 	t.copying = true
 	c.Stats.ReplicasTriggered++
-	j := &copyJob{c: c, t: t, src: source, dst: target}
-	c.copies = append(c.copies, j)
+	var degraded []*Stream
+	var cp *Copy
+	cp = NewCopy(source, target, t.Name, t.Bytes, func(ok bool) {
+		c.copies = slices.DeleteFunc(c.copies, func(x *Copy) bool { return x == cp })
+		t.copying = false
+		if ok {
+			t.replicas = append(t.replicas, target)
+			c.Stats.ReplicasCompleted++
+		} else {
+			c.Stats.ReplicasAborted++
+		}
+		c.restoreViewers(degraded)
+		if cb := c.OnReplica; ok && cb != nil {
+			cb(t, target)
+		}
+	})
+	c.copies = append(c.copies, cp)
 	if c.cfg.DegradeBeforeReplicate {
-		j.degradeViewers()
+		degraded = c.degradeViewers(t, source)
 	}
-	j.start()
+	cp.Start()
 }
 
 // degradeViewers drops the hot title's current viewers on the copy's
 // source node one quality tier for the replication window: their
 // shrunken rounds leave more slack for the best-effort copy reads and
-// more disk budget for new viewers while the copy catches up. They are
-// restored when the replica joins the catalog or the copy aborts.
-func (j *copyJob) degradeViewers() {
-	for _, st := range j.src.streams {
-		if st.Title != j.t || st.sess == nil {
+// more disk budget for new viewers while the copy catches up. It
+// returns the streams it dropped; restoreViewers lifts them when the
+// replica joins the catalog or the copy aborts.
+func (c *Controller) degradeViewers(t *Title, src *Node) []*Stream {
+	var degraded []*Stream
+	for _, st := range src.streams {
+		if st.Title != t || st.sess == nil {
 			continue
 		}
 		if st.sess.Degraded() {
 			continue // already below full quality; leave its tier alone
 		}
-		if st.sess.Degrade(j.c.cfg.DegradeFactor) == nil && st.sess.Degraded() {
-			j.degraded = append(j.degraded, st)
-			j.c.Stats.DegradedForCopy++
+		if st.sess.Degrade(c.cfg.DegradeFactor) == nil && st.sess.Degraded() {
+			degraded = append(degraded, st)
+			c.Stats.DegradedForCopy++
 		}
 	}
+	return degraded
 }
 
 // restoreViewers climbs the degraded viewers back toward full quality
@@ -72,23 +92,12 @@ func (j *copyJob) degradeViewers() {
 // on the controller's restore queue and is retried every time a stream
 // releases — the site's own reclaim only covers Adaptive-class
 // sessions, and Guaranteed viewers must not stay degraded for life.
-func (j *copyJob) restoreViewers() {
-	for _, st := range j.degraded {
-		if st.Released() || st.sess == nil || !st.sess.Degraded() ||
-			st.node == nil || st.node.Failed() {
-			// Gone, already back at full quality (e.g. failover
-			// re-admitted it fresh), or dying with its node — FailNode
-			// closes and re-admits those moments after aborting this
-			// copy, so there is nothing here to restore or count.
-			continue
-		}
-		if st.sess.Restore() == nil {
-			j.c.Stats.RestoredAfterCopy++
-		} else {
-			j.c.restorePending = append(j.c.restorePending, st)
+func (c *Controller) restoreViewers(degraded []*Stream) {
+	for _, st := range degraded {
+		if c.restoreFailed(st) {
+			c.restorePending = append(c.restorePending, st)
 		}
 	}
-	j.degraded = nil
 }
 
 // retryRestores re-attempts parked copy-window restores; called after
@@ -99,17 +108,29 @@ func (c *Controller) retryRestores() {
 	}
 	keep := c.restorePending[:0]
 	for _, st := range c.restorePending {
-		switch {
-		case st.Released() || st.sess == nil || !st.sess.Degraded() ||
-			st.node == nil || st.node.Failed():
-			// Nothing left to restore.
-		case st.sess.Restore() == nil:
-			c.Stats.RestoredAfterCopy++
-		default:
+		if c.restoreFailed(st) {
 			keep = append(keep, st)
 		}
 	}
 	c.restorePending = keep
+}
+
+// restoreFailed restores one copy-window viewer to full quality and
+// reports whether the budget refused, so the viewer stays parked.
+func (c *Controller) restoreFailed(st *Stream) bool {
+	switch {
+	case st.Released() || st.sess == nil || !st.sess.Degraded() ||
+		st.node == nil || st.node.Failed():
+		// Gone, already back at full quality (e.g. failover re-admitted
+		// it fresh), or dying with its node — FailNode closes and
+		// re-admits those moments after aborting the copy, so there is
+		// nothing here to restore or count.
+		return false
+	case st.sess.Restore() == nil:
+		c.Stats.RestoredAfterCopy++
+		return false
+	}
+	return true
 }
 
 // replicationTarget picks the copy destination: the alive non-holder
@@ -151,118 +172,107 @@ func (c *Controller) copySource(t *Title) *Node {
 // Copying reports background copies in flight.
 func (c *Controller) Copying() int { return len(c.copies) }
 
-// copyJob is one background replication: chunked best-effort reads off
-// the source, ordinary writes onto the target, a sync, then activation.
-type copyJob struct {
-	c        *Controller
-	t        *Title
+// copyChunk is the bytes per best-effort read of a background copy.
+const copyChunk = 256 << 10
+
+// Copy is one background title copy between two storage nodes, the
+// one copy engine both reactive replication and the metro layer's
+// cross-site copy ride: the target file is created sparse, the bytes
+// move in copyChunk reads through the source's ReadBestEffort queue
+// (round slack only, so admitted streams never notice), each write is
+// handed to the barrier, and the target is synced before the copy
+// reports success. The caller keeps the policy: what triggers a copy,
+// which nodes, and what activation means.
+type Copy struct {
 	src, dst *Node
+	name     string
+	bytes    int64
 	off      int64
 	created  bool
-	aborted  bool
-
-	// degraded holds the viewer streams tier-dropped for this copy's
-	// window (DegradeBeforeReplicate); restored when the window closes.
-	degraded []*Stream
+	ended    bool
+	done     func(ok bool)
 }
 
-func (j *copyJob) start() {
-	if err := j.dst.SS.Server.Create(j.t.Name, true); err != nil {
-		j.abort()
-		return
-	}
-	j.created = true
-	j.step()
+// NewCopy prepares a copy of bytes bytes of title name from src to
+// dst; Start sets it going. done runs exactly once, at the barrier (or
+// inline on serial sites): ok when the bytes are durable on dst, !ok
+// when the copy failed or was aborted — in which case the partial file
+// is deleted from dst right after done returns, unless dst has failed.
+func NewCopy(src, dst *Node, name string, bytes int64, done func(ok bool)) *Copy {
+	return &Copy{src: src, dst: dst, name: name, bytes: bytes, done: done}
 }
 
-func (j *copyJob) step() {
-	if j.aborted {
+// Start creates the sparse target file and issues the first read.
+func (cp *Copy) Start() {
+	if err := cp.dst.SS.Server.Create(cp.name, true); err != nil {
+		cp.Abort()
 		return
 	}
-	if j.off >= j.t.Bytes {
-		j.finish()
+	cp.created = true
+	cp.step()
+}
+
+func (cp *Copy) step() {
+	if cp.off >= cp.bytes {
+		cp.finish()
 		return
 	}
-	off := j.off
-	n := int64(j.c.cfg.CopyChunk)
-	if rest := j.t.Bytes - off; rest < n {
-		n = rest
-	}
-	j.src.SS.CM.ReadBestEffort(j.t.Name, off, int(n), func(data []byte, err error) {
+	off := cp.off
+	n := min(copyChunk, cp.bytes-off)
+	cp.src.SS.CM.ReadBestEffort(cp.name, off, int(n), func(data []byte, err error) {
 		// The read completes on the source node's partition, but the
-		// body writes the *target* node's array and the controller's
-		// bookkeeping: hand it to the barrier, where every partition's
-		// state may be touched. Serial sites run it inline.
-		j.src.SS.Net.Sim.Defer(func() {
-			if j.aborted {
+		// body writes the target node's array and the caller's
+		// bookkeeping — possibly on another site's partition: hand it
+		// to the barrier, where every partition's state may be touched.
+		// Serial sites run it inline.
+		cp.src.SS.Net.Sim.Defer(func() {
+			if cp.ended {
 				return
+			}
+			if err == nil {
+				err = cp.dst.SS.Server.Write(cp.name, off, data)
 			}
 			if err != nil {
-				j.abort()
+				cp.Abort()
 				return
 			}
-			if err := j.dst.SS.Server.Write(j.t.Name, off, data); err != nil {
-				j.abort()
-				return
-			}
-			j.off = off + int64(len(data))
-			j.step()
+			cp.off = off + int64(len(data))
+			cp.step()
 		})
 	})
 }
 
-// finish makes the copy durable, then activates the replica: only a
-// synced replica may join the catalog (a node that crashes between copy
+// finish makes the copy durable before reporting success: only a
+// synced replica may be activated (a node that crashes between copy
 // and sync must not be serving the title from volatile buffers).
-func (j *copyJob) finish() {
-	j.dst.SS.Server.FS().Sync(func(err error) {
-		// Fires on the target node's partition; done() mutates the
-		// catalog and re-admits pending viewers site-wide, so it runs
-		// at the barrier (inline on serial sites).
-		j.dst.SS.Net.Sim.Defer(func() {
-			if j.aborted {
+func (cp *Copy) finish() {
+	cp.dst.SS.Server.FS().Sync(func(err error) {
+		// Fires on the target node's partition; activation mutates
+		// catalogs and re-admits viewers, so it runs at the barrier.
+		cp.dst.SS.Net.Sim.Defer(func() {
+			if cp.ended {
 				return
 			}
 			if err != nil {
-				j.abort()
+				cp.Abort()
 				return
 			}
-			j.done()
+			cp.ended = true
+			cp.done(true)
 		})
 	})
 }
 
-func (j *copyJob) done() {
-	j.c.removeJob(j)
-	j.t.copying = false
-	j.t.replicas = append(j.t.replicas, j.dst)
-	j.c.Stats.ReplicasCompleted++
-	j.restoreViewers()
-	if cb := j.c.OnReplica; cb != nil {
-		cb(j.t, j.dst)
-	}
-}
-
-func (j *copyJob) abort() {
-	if j.aborted {
+// Abort stops the copy: done(false) runs, then the partial file is
+// removed from a live target so a later attempt can start clean. A
+// no-op once the copy has ended.
+func (cp *Copy) Abort() {
+	if cp.ended {
 		return
 	}
-	j.aborted = true
-	j.c.removeJob(j)
-	j.t.copying = false
-	j.c.Stats.ReplicasAborted++
-	j.restoreViewers()
-	// Remove the partial copy so a later attempt can start clean.
-	if j.created && !j.dst.failed {
-		_ = j.dst.SS.Server.Delete(j.t.Name)
-	}
-}
-
-func (c *Controller) removeJob(j *copyJob) {
-	for i, x := range c.copies {
-		if x == j {
-			c.copies = append(c.copies[:i], c.copies[i+1:]...)
-			return
-		}
+	cp.ended = true
+	cp.done(false)
+	if cp.created && !cp.dst.failed {
+		_ = cp.dst.SS.Server.Delete(cp.name)
 	}
 }

@@ -23,7 +23,8 @@
 //     just placed better.
 //   - *Reactive replication*: when a title's refusals cross a
 //     threshold, the controller schedules a background copy onto the
-//     least-loaded node. The copy reads through ReadBestEffort — round
+//     least-loaded node. The copy engine (Copy, shared with the metro
+//     layer's cross-site copies) reads through ReadBestEffort — round
 //     slack only, guaranteed rounds untouched — and the new replica
 //     joins the catalog when the copy is durable.
 //   - *Node failure*: FailNode releases the dead node's circuits and
@@ -90,10 +91,6 @@ type Config struct {
 	// ReplicationDisabled turns reactive replication off — the ablation
 	// that shows why a hot title must not stay on one array.
 	ReplicationDisabled bool
-
-	// CopyChunk is the bytes per best-effort read of a replication copy
-	// (default 256 KiB).
-	CopyChunk int
 }
 
 func (c *Config) setDefaults() {
@@ -108,9 +105,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RefusalThreshold == 0 {
 		c.RefusalThreshold = 3
-	}
-	if c.CopyChunk == 0 {
-		c.CopyChunk = 256 << 10
 	}
 }
 
@@ -249,7 +243,7 @@ type Controller struct {
 	nodes  []*Node
 	titles map[string]*Title
 	ranked []*Title // rank order, hottest first
-	copies []*copyJob
+	copies []*Copy
 
 	// restorePending holds copy-window viewers whose restore the budget
 	// refused; retried after every stream teardown.
