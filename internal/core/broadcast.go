@@ -411,7 +411,7 @@ func (st *Site) noteJoinRefusal(b *Broadcast, port int, err error) {
 	} else {
 		st.LiveStats.JoinRefusedOther++
 	}
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}
@@ -437,7 +437,7 @@ func (st *Site) noteJoinRefusal(b *Broadcast, port int, err error) {
 // tier's rate for tier changes and, for joins and leaves, the viewer's
 // port. Global context only.
 func (st *Site) traceBcast(b *Broadcast, event string, rate int64, err error) {
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}

@@ -59,7 +59,8 @@ type SiteConfig struct {
 	// keeps today's serial kernel; one runs the cluster machinery with
 	// results bit-identical to serial. Incompatible with CellAccurate
 	// for more than one partition (the cell-by-cell path replays cells
-	// under the lookahead floor).
+	// under the lookahead floor). A site hosted on a shared plane
+	// (Plane.HostSite) ignores it.
 	Partitions int
 	// DiskParams overrides the storage servers' disk geometry (nil =
 	// disk.DefaultParams, the paper's 1994-era drive). Site-scale runs
@@ -82,14 +83,18 @@ func DefaultSiteConfig() SiteConfig {
 
 // Site is one Pegasus installation: a switch and everything attached.
 type Site struct {
-	// Sim is the control-plane partition (partition 0 of a partitioned
-	// site; the only Sim of a serial one). Site-level services —
-	// signalling, sessions, the VoD control plane — schedule here.
+	// Plane is the event kernel, registry and tracer the site runs on:
+	// its own for a standalone site, the federation's for a metro
+	// member.
+	Plane *Plane
+	// Sim is the site's control partition — the plane's for a
+	// standalone site, the one partition a hosted site is pinned to.
+	// Site-level services — signalling, sessions, the VoD control
+	// plane — schedule here.
 	Sim    *sim.Sim
 	Switch *fabric.Switch
 	Config SiteConfig
-	// Clock drives the run loop: the serial Sim when Partitions is
-	// zero, the partition cluster otherwise. Harnesses call
+	// Clock is the plane's run loop. Harnesses call
 	// Clock.Run/RunUntil/CallAfter instead of touching Sim directly.
 	Clock sim.Scheduler
 	// Signalling is the site's connection manager (§2.2): circuits
@@ -107,89 +112,52 @@ type Site struct {
 	// broadcast.go).
 	LiveStats BroadcastStats
 
-	// Metrics is the site's telemetry registry, always live: every
-	// subsystem registers its gauges here as it comes up, sharded per
-	// partition with the same ownership rule as the event kernel (see
-	// internal/telemetry). Reading a merged view is only legal from
-	// global or barrier context.
+	// Metrics is the plane's telemetry registry: every subsystem
+	// registers its gauges here as it comes up (see internal/telemetry).
 	Metrics *telemetry.Registry
 
 	sessions   []*Session
 	broadcasts []*Broadcast
 	nextBcast  int
 
-	tracer     *telemetry.Tracer
 	cmNodes    map[*fileserver.CMService]string
 	cmSessions map[*fileserver.CMStream]*Session
 
-	clu        *sim.Cluster
-	hosted     bool // built by NewSiteOn: kernel, registry owned elsewhere
-	trParts    int  // tracer shard count (metro partitions for hosted sites)
-	nextAttach int
-	nextPort   int
-	nextVCI    atm.VCI
+	pinned   bool // every attachment on Sim rather than spread over the plane
+	nextPort int
+	nextVCI  atm.VCI
 }
 
-// NewSite builds an empty site.
+// NewSite builds an empty standalone site on a plane of its own, with
+// cfg.Partitions partitions synchronised under the node-to-node cell
+// latency; attachments spread round-robin over them.
 func NewSite(cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	st := &Site{Config: cfg, nextVCI: 100}
-	if cfg.Partitions > 0 {
-		if cfg.CellAccurate && cfg.Partitions > 1 {
-			panic("core: CellAccurate is incompatible with more than one partition")
-		}
-		// The lookahead is the minimum time a cell needs to cross from
-		// one node to another: switch transit + serialisation on the
-		// output link + propagation. fabric's cross-partition sends
-		// stamp messages with exactly this latency.
-		ct := sim.Duration(int64(atm.CellSize*8) * int64(sim.Second) / cfg.LinkRate)
-		st.clu = sim.NewCluster(cfg.Partitions, cfg.FabricDelay+ct+cfg.LinkDelay)
-		st.Sim = st.clu.Part(0)
-		st.Clock = st.clu
-	} else {
-		st.Sim = sim.New()
-		st.Clock = st.Sim
-	}
-	st.Switch = fabric.NewSwitch(st.Sim, cfg.Name, cfg.Ports, cfg.FabricDelay)
-	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	st.trParts = parts
-	st.Metrics = telemetry.NewRegistry(parts)
-	st.cmNodes = make(map[*fileserver.CMService]string)
-	st.cmSessions = make(map[*fileserver.CMStream]*Session)
-	st.registerSiteGauges()
-	return st
+	p := NewPlane(cfg.Name, cfg.Partitions, fabric.TierLookahead(cfg.FabricDelay, cfg.LinkRate, cfg.LinkDelay))
+	return p.host(cfg, p.Sim, false)
 }
 
-// NewSiteOn builds a site hosted on an externally owned event kernel:
-// every attachment lands on owner (the whole site is one partition
-// group), the run loop is clock, and telemetry lands in the caller's
-// shared registry (sharded for the caller's partition count, which
-// traceParts also sizes any tracer to). This is the metro federation's
-// constructor — N hosted sites share one cluster, one registry and
-// one trace, and the metro layer owns cross-site gauges the site
-// cannot see (trunks, catalog, the cluster itself).
-func NewSiteOn(clock sim.Scheduler, owner *sim.Sim, traceParts int, reg *telemetry.Registry, cfg SiteConfig) *Site {
-	if cfg.Name == "" {
-		cfg.Name = "site"
+// HostSite builds an empty site pinned whole to the plane's next
+// partition, so every intra-site event chain stays partition-local —
+// how a metro hosts its members. cfg.Name must be unique on the plane
+// (it keys the site's gauges); cfg.Partitions is ignored.
+func (p *Plane) HostSite(cfg SiteConfig) *Site {
+	return p.host(cfg, p.place(), true)
+}
+
+// host builds a site whose switch and control plane live on s.
+func (p *Plane) host(cfg SiteConfig, s *sim.Sim, pinned bool) *Site {
+	if cfg.CellAccurate && p.parts() > 1 {
+		panic("core: CellAccurate is incompatible with more than one partition")
 	}
-	if cfg.Partitions > 0 {
-		panic("core: NewSiteOn hosts the site on the caller's kernel; SiteConfig.Partitions must be zero")
+	st := &Site{
+		Plane: p, Sim: s, Clock: p.Clock, Metrics: p.Metrics, Config: cfg,
+		pinned: pinned, nextVCI: 100,
 	}
-	if traceParts < 1 {
-		traceParts = 1
-	}
-	st := &Site{Config: cfg, nextVCI: 100, hosted: true, trParts: traceParts}
-	st.Sim = owner
-	st.Clock = clock
-	st.Switch = fabric.NewSwitch(owner, cfg.Name, cfg.Ports, cfg.FabricDelay)
+	st.Switch = fabric.NewSwitch(s, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
-	st.Metrics = reg
 	st.cmNodes = make(map[*fileserver.CMService]string)
 	st.cmSessions = make(map[*fileserver.CMStream]*Session)
 	st.registerSiteGauges()
@@ -200,21 +168,6 @@ func NewSiteOn(clock sim.Scheduler, owner *sim.Sim, traceParts int, reg *telemet
 // endpoint — how a metro takes the trunk port before any node comes
 // up, so the port is deterministic (always port 0) per site.
 func (st *Site) ReservePort() int { return st.allocPort() }
-
-// Cluster returns the site's partition cluster, or nil when the site
-// runs on the serial kernel.
-func (st *Site) Cluster() *sim.Cluster { return st.clu }
-
-// partSim picks the partition for the next attachment (round-robin over
-// the cluster; the serial Sim otherwise).
-func (st *Site) partSim() *sim.Sim {
-	if st.clu == nil {
-		return st.Sim
-	}
-	s := st.clu.Part(st.nextAttach % st.clu.Parts())
-	st.nextAttach++
-	return s
-}
 
 // AllocVCI hands out a site-unique circuit number.
 func (st *Site) AllocVCI() atm.VCI {
@@ -250,11 +203,15 @@ type Endpoint struct {
 	Demux *devices.Demux
 }
 
-// Attach creates an endpoint on a fresh switch port, owned by the next
-// partition in round-robin order.
+// Attach creates an endpoint on a fresh switch port, owned by the
+// plane's next partition in round-robin order (by the site's own
+// partition when the site is pinned).
 func (st *Site) Attach(name string) *Endpoint {
 	port := st.allocPort()
-	s := st.partSim()
+	s := st.Sim
+	if !st.pinned {
+		s = st.Plane.place()
+	}
 	dm := devices.NewDemux()
 	ep := &Endpoint{Port: port, Sim: s, Demux: dm}
 	ep.ToSwitch = fabric.NewLink(s, st.Config.LinkRate, st.Config.LinkDelay, 0, st.Switch.BindIn(port, s))

@@ -1,13 +1,12 @@
 package core
 
-// Telemetry wiring: the site owns the observability plane's registry
-// and (optional) tracer, registers gauges for every admission leg as
-// the producers come up, and classifies refusals into the one
+// Telemetry wiring: the site registers gauges for every admission leg
+// into its plane's registry as the producers come up, records into the
+// plane's (optional) tracer, and classifies refusals into the one
 // taxonomy both the trace and the scoreboard count by.
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/fileserver"
 	"repro/internal/netsig"
@@ -37,30 +36,9 @@ func RefusalLeg(err error) (Leg, bool) {
 	return 0, false
 }
 
-// EnableTrace switches per-session lifecycle tracing on, creating the
-// tracer on first use. Call it before any session is opened so the
-// trace covers the whole run. Idempotent.
-func (st *Site) EnableTrace() *telemetry.Tracer {
-	if st.tracer == nil {
-		st.tracer = telemetry.NewTracer(st.trParts)
-	}
-	return st.tracer
-}
-
-// AdoptTrace points the site at an externally owned tracer — how a
-// metro shares one trace (sized to the metro's partition count)
-// across every hosted site, so events from all sites merge into one
-// deterministic timeline.
-func (st *Site) AdoptTrace(tr *telemetry.Tracer) { st.tracer = tr }
-
-// Trace returns the site's trace recorder, nil until EnableTrace.
-func (st *Site) Trace() *telemetry.Tracer { return st.tracer }
-
 // registerSiteGauges wires the site-wide producers into the registry:
-// session verbs, refusals by leg, circuit counts, fabric throughput
-// and the event kernel itself. Cluster synchronisation gauges are
-// registered only for two or more partitions, so a 1-partition
-// cluster's metrics stay bit-identical to a serial run's.
+// session verbs, refusals by leg, circuit counts and fabric
+// throughput. The kernel's own gauges belong to the plane.
 func (st *Site) registerSiteGauges() {
 	reg := st.Metrics
 	q := &st.QoSStats
@@ -92,31 +70,6 @@ func (st *Site) registerSiteGauges() {
 	site("net", "circuits_modified", func() float64 { return float64(m.Modified) })
 	sw := st.Switch
 	site("fabric", "cells_switched", func() float64 { return float64(sw.Stats().Switched) })
-	part := func(i int, p *sim.Sim) {
-		node := fmt.Sprintf("part%d", i)
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "events_fired"},
-			func() float64 { return float64(p.Fired()) })
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "inbox_depth"},
-			func() float64 { return float64(p.Pending()) })
-	}
-	if st.hosted {
-		// The kernel (and its per-partition gauges) belongs to the
-		// metro layer; registering them here per site would just
-		// re-register the same keys K times.
-		return
-	}
-	if st.clu == nil {
-		part(0, st.Sim)
-		return
-	}
-	for i := 0; i < st.clu.Parts(); i++ {
-		part(i, st.clu.Part(i))
-	}
-	if clu := st.clu; clu.Parts() > 1 {
-		site("sim", "windows", func() float64 { return float64(clu.Windows()) })
-		site("sim", "barrier_stalls", func() float64 { return float64(clu.BarrierStalls()) })
-		site("sim", "cross_delivered", func() float64 { return float64(clu.CrossDelivered()) })
-	}
 }
 
 // instrumentUplink registers a node's uplink budget gauges.
@@ -212,7 +165,7 @@ func legSamples(rep AdmissionReport) []telemetry.LegSample {
 
 // traceOpen records a session-open attempt. Global context only.
 func (st *Site) traceOpen(spec *SessionSpec) {
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}
@@ -229,7 +182,7 @@ func (st *Site) traceOpen(spec *SessionSpec) {
 // riding the RAM tier, the cache-served event), with per-leg
 // headrooms probed at event time. Global context only.
 func (st *Site) traceAdmitted(s *Session) {
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}
@@ -264,7 +217,7 @@ func (st *Site) noteRefusal(spec *SessionSpec, err error) {
 	} else {
 		st.QoSStats.RefusedOther++
 	}
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}
@@ -287,7 +240,7 @@ func (st *Site) noteRefusal(spec *SessionSpec, err error) {
 // traceVerb records a lifecycle verb (renegotiate, degrade, restore,
 // close) on an open session. Global context only.
 func (st *Site) traceVerb(s *Session, event string) {
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}
@@ -306,7 +259,7 @@ func (st *Site) traceVerb(s *Session, event string) {
 // owning session when one is known. The session map is written only in
 // global context, so the concurrent read here is safe.
 func (st *Site) traceCM(cm *fileserver.CMStream, s *sim.Sim, node, event string) {
-	tr := st.tracer
+	tr := st.Plane.tracer
 	if tr == nil {
 		return
 	}

@@ -480,6 +480,11 @@ func (svc *CMService) fetched(cm *CMStream, buf *cmBuf, off int64, counted bool,
 	buf.fetching = false
 	if err != nil {
 		svc.Stats.ReadErrors++
+		if !cm.started {
+			// A lost priming window is re-issued, not skipped: the
+			// next round's batch reads the same title window again.
+			cm.fetchOff = off
+		}
 		return
 	}
 	buf.data = data
@@ -506,10 +511,10 @@ func (svc *CMService) round() {
 	var batch []fetch
 	var used sim.Duration
 	for _, cm := range svc.streams {
-		if !cm.started {
-			if !cm.bufs[0].ready {
-				continue // still priming
-			}
+		if !cm.started && cm.bufs[0].fetching {
+			continue // still priming
+		}
+		if !cm.started && cm.bufs[0].ready {
 			// Playout may begin this round: the primed window is one
 			// full round deep, so consumption can never catch the heads.
 			cm.started = true

@@ -326,3 +326,35 @@ func TestCMBestEffortFillsSlack(t *testing.T) {
 			svc.Stats.Underruns, svc.Stats.RoundOverruns)
 	}
 }
+
+// TestCMPrimingReadRetried fails a disk under a stream's in-flight
+// priming read. The array falls back to parity only for reads issued
+// after the failure, so that read is lost; the next round must re-issue
+// the same title window, which now reconstructs through parity, so the
+// stream starts and plays the title from its first byte instead of
+// never starting.
+func TestCMPrimingReadRetried(t *testing.T) {
+	s := sim.New()
+	sv := newServer(s, 64)
+	title := loadTitle(t, s, sv, "movie", 3*19200)
+
+	svc := fileserver.NewCMService(sv, fileserver.CMConfig{Round: cmRound})
+	defer svc.Stop()
+	cm, err := svc.Admit("movie", 960, 100)
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	sv.FS().Array().FailDisk(0)
+	s.RunFor(2 * cmRound)
+
+	if !cm.Ready() {
+		t.Fatalf("stream not ready after two rounds (read errors %d)", svc.Stats.ReadErrors)
+	}
+	if svc.Stats.ReadErrors != 1 {
+		t.Fatalf("read errors = %d, want 1 (the lost priming read)", svc.Stats.ReadErrors)
+	}
+	b, ok := cm.NextFrame()
+	if !ok || !bytes.Equal(b, title[:960]) {
+		t.Fatalf("first frame ok=%v does not match the title's first bytes", ok)
+	}
+}

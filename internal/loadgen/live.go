@@ -95,7 +95,7 @@ func (sc *Scenario) buildLive() {
 			panic(fmt.Sprintf("loadgen: channel ch%d refused at open: %v", c, err))
 		}
 		src := sc.newSource(cam.Sim, cam.ToSwitch, period)
-		reg, p := sc.plane.Metrics(), cam.Sim.Partition()
+		reg, p := sc.plane.Metrics, cam.Sim.Partition()
 		src.cells, src.saved = reg.Counter(p, liveKey("source_cells")), reg.Counter(p, liveKey("fanout_saved"))
 		if !cfg.Unicast {
 			src.vcis = []atm.VCI{b.VCI()}
@@ -152,7 +152,7 @@ func (sc *Scenario) liveJoin(p liveJoinPlan) {
 		lc.src.viewers = lc.b.Viewers()
 	}
 	vci := j.VCI()
-	sc.plane.Clock().CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
+	sc.plane.Clock.CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
 }
 
 // liveLeave executes one viewer's departure: the broadcast prunes the
@@ -179,7 +179,7 @@ func (sc *Scenario) startLive() {
 	}
 	for _, p := range sc.livePlan {
 		p := p
-		sc.plane.Clock().CallAfter(p.at, func() { sc.liveJoin(p) })
+		sc.plane.Clock.CallAfter(p.at, func() { sc.liveJoin(p) })
 	}
 }
 
@@ -192,8 +192,8 @@ func (sc *Scenario) collectLive(r *Result) {
 	r.LiveJoinRefused = lv.JoinRefused
 	r.SubtreeDegraded = lv.SubtreeDegraded
 	r.SubtreeRestored = lv.SubtreeRestored
-	r.LiveSourceCells = sc.plane.Metrics().CounterValue(liveKey("source_cells"))
-	r.FanoutCellsSaved = sc.plane.Metrics().CounterValue(liveKey("fanout_saved"))
+	r.LiveSourceCells = sc.plane.Metrics.CounterValue(liveKey("source_cells"))
+	r.FanoutCellsSaved = sc.plane.Metrics.CounterValue(liveKey("fanout_saved"))
 	if r.LiveSourceCells > 0 {
 		r.FanoutRatio = float64(r.LiveSourceCells+r.FanoutCellsSaved) / float64(r.LiveSourceCells)
 	}

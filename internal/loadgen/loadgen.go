@@ -750,7 +750,7 @@ type Scenario struct {
 	cfg   Config
 	topo  *topology
 	site  *core.Site
-	plane plane
+	plane *core.Plane // the site's, or the federation's in Metro mode
 
 	// Servers are the VoD storage nodes (nil for mesh).
 	Servers []*core.StorageServer
@@ -797,27 +797,6 @@ func trafficKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "traffic", Name: name}
 }
 
-// plane is the kernel, registry and tracer of whichever topology owns
-// them: the metro controller in Metro mode, the single site otherwise.
-type plane interface {
-	Clock() sim.Scheduler
-	Metrics() *telemetry.Registry
-	Cluster() *sim.Cluster
-	Tracer() *telemetry.Tracer
-}
-
-// sitePlane is a single site's plane.
-type sitePlane struct{ *core.Site }
-
-// Clock is the site's scheduler.
-func (s sitePlane) Clock() sim.Scheduler { return s.Site.Clock }
-
-// Metrics is the site's registry.
-func (s sitePlane) Metrics() *telemetry.Registry { return s.Site.Metrics }
-
-// Tracer is the site's session tracer (nil unless enabled).
-func (s sitePlane) Tracer() *telemetry.Tracer { return s.Trace() }
-
 // trafficFor returns (creating on first use) the registry handles for a
 // partition's timeline. Global context only; the handful of partitions
 // makes the linear scan irrelevant.
@@ -827,7 +806,7 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 			return t
 		}
 	}
-	reg, p := sc.plane.Metrics(), s.Partition()
+	reg, p := sc.plane.Metrics, s.Partition()
 	t := &traffic{
 		sim:             s,
 		framesSent:      reg.Counter(p, trafficKey("frames_sent")),
@@ -843,7 +822,7 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 // framesDeliveredTotal sums delivered frames across partitions (for
 // tests probing mid-run progress). Quiescent context only.
 func (sc *Scenario) framesDeliveredTotal() int64 {
-	return sc.plane.Metrics().CounterValue(trafficKey("frames_delivered"))
+	return sc.plane.Metrics.CounterValue(trafficKey("frames_delivered"))
 }
 
 // Site exposes the underlying site (switch, signalling) for assertions.
@@ -875,9 +854,9 @@ func (sc *Scenario) siteConfig(ports int) core.SiteConfig {
 // before any admission so build-time refusals land in the trace.
 func (sc *Scenario) attachSite(ports int) {
 	sc.site = core.NewSite(sc.siteConfig(ports))
-	sc.plane = sitePlane{sc.site}
+	sc.plane = sc.site.Plane
 	if sc.cfg.Trace {
-		sc.site.EnableTrace()
+		sc.plane.EnableTrace()
 	}
 }
 
@@ -1093,27 +1072,20 @@ func (sc *Scenario) Run() Result {
 	if sc.topo.start != nil {
 		sc.topo.start(sc)
 	}
-	// The sampler attaches to lookahead barriers when the kernel is
-	// actually parallel (zero events, zero perturbation); serial and
-	// single-partition runs chain a self-rescheduling tick instead,
-	// whose firings collect subtracts back out of EventsFired.
+	// A chained sampler's tick firings are subtracted back out of
+	// EventsFired by collect.
 	if sc.cfg.MetricsEvery > 0 && sc.sampler == nil {
-		sc.sampler = telemetry.NewSampler(sc.plane.Metrics(), sc.cfg.MetricsEvery)
-		if clu := sc.plane.Cluster(); clu != nil && clu.Parts() > 1 {
-			sc.sampler.AttachBarrier(clu)
-		} else {
-			sc.sampler.Chain(sc.plane.Clock())
-		}
+		sc.sampler = sc.plane.Sampler(sc.cfg.MetricsEvery)
 	}
-	sc.runStart = sc.plane.Clock().Now()
-	sc.firedStart = sc.plane.Clock().Fired()
+	sc.runStart = sc.plane.Clock.Now()
+	sc.firedStart = sc.plane.Clock.Fired()
 	if sc.sampler != nil {
 		sc.ticksStart = sc.sampler.Ticks()
 	}
 	wall := time.Now()
-	sc.plane.Clock().RunFor(sc.cfg.Duration)
+	sc.plane.Clock.RunFor(sc.cfg.Duration)
 	if sc.sampler != nil {
-		sc.sampler.Final(sc.plane.Clock().Now())
+		sc.sampler.Final(sc.plane.Clock.Now())
 	}
 	return sc.collect(time.Since(wall))
 }
@@ -1127,8 +1099,8 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 	// result is independent of merge order. A chained sampler's own
 	// tick events are subtracted back out of the events-fired score so
 	// telemetry on vs off yields byte-identical scoreboards.
-	latency := sc.plane.Metrics().MergedSample(trafficKey("latency_ns"))
-	jitter := sc.plane.Metrics().MergedSample(trafficKey("jitter_ns"))
+	latency := sc.plane.Metrics.MergedSample(trafficKey("latency_ns"))
+	jitter := sc.plane.Metrics.MergedSample(trafficKey("jitter_ns"))
 	var ticks int64
 	if sc.sampler != nil {
 		ticks = sc.sampler.Ticks() - sc.ticksStart
@@ -1138,11 +1110,11 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		Admitted:        sc.admitted,
 		Rejected:        sc.rejected,
 		TornDown:        sc.tornDown,
-		FramesSent:      sc.plane.Metrics().CounterValue(trafficKey("frames_sent")),
-		FramesDelivered: sc.plane.Metrics().CounterValue(trafficKey("frames_delivered")),
-		CellsDelivered:  sc.plane.Metrics().CounterValue(trafficKey("cells_delivered")),
-		EventsFired:     sc.plane.Clock().Fired() - sc.firedStart - ticks,
-		SimSeconds:      (sc.plane.Clock().Now() - sc.runStart).Seconds(),
+		FramesSent:      sc.plane.Metrics.CounterValue(trafficKey("frames_sent")),
+		FramesDelivered: sc.plane.Metrics.CounterValue(trafficKey("frames_delivered")),
+		CellsDelivered:  sc.plane.Metrics.CounterValue(trafficKey("cells_delivered")),
+		EventsFired:     sc.plane.Clock.Fired() - sc.firedStart - ticks,
+		SimSeconds:      (sc.plane.Clock.Now() - sc.runStart).Seconds(),
 		WallSeconds:     wall.Seconds(),
 		LatencyP50:      latency.Quantile(0.5),
 		LatencyP99:      latency.Quantile(0.99),

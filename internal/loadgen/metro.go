@@ -36,9 +36,9 @@ func (sc *Scenario) buildMetro() {
 		NoSpill:        cfg.NoSpill,
 		SpillThreshold: cfg.SpillThreshold,
 	})
-	sc.metroCtl, sc.plane = mctl, mctl
+	sc.metroCtl, sc.plane = mctl, mctl.Plane()
 	if cfg.Trace {
-		mctl.EnableTrace()
+		sc.plane.EnableTrace()
 	}
 
 	// Cross-site copies can land any title on any node: size every log
@@ -92,7 +92,7 @@ func (sc *Scenario) Metro() *metro.Controller { return sc.metroCtl }
 func (sc *Scenario) startMetro() {
 	if sc.cfg.FailSiteAt > 0 {
 		idx := modulo(sc.cfg.FailSite, sc.cfg.Sites)
-		sc.plane.Clock().CallAfter(sc.cfg.FailSiteAt, func() { sc.metroCtl.FailSite(idx) })
+		sc.plane.Clock.CallAfter(sc.cfg.FailSiteAt, func() { sc.metroCtl.FailSite(idx) })
 	}
 }
 

@@ -138,7 +138,7 @@ func TestMetroSpillTraceHasTrunkLeg(t *testing.T) {
 		t.Fatal("no spills to trace")
 	}
 	spilled := 0
-	for _, ev := range sc.Metro().Tracer().Events() {
+	for _, ev := range sc.Metro().Plane().Tracer().Events() {
 		if ev.Event != "spilled" {
 			continue
 		}

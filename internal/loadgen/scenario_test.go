@@ -197,7 +197,7 @@ func TestMetroCountsCacheServedStreams(t *testing.T) {
 	sc := Build(cfg)
 	res := sc.Run()
 	served := 0
-	for _, ev := range sc.Metro().Tracer().Events() {
+	for _, ev := range sc.Metro().Plane().Tracer().Events() {
 		if ev.Event == "cache-served" {
 			served++
 		}

@@ -50,12 +50,12 @@ func TestTelemetryNeverPerturbs(t *testing.T) {
 }
 
 // TestTelemetryDeterministic pins the telemetry byte streams
-// themselves: serial and -partitions 1 emit bit-identical metrics and
-// traces, and a fixed -partitions 4 run is a pure function of its
-// configuration.
+// themselves, for a single site and for a metro federation (whose
+// kernel gauges and tracer belong to the shared plane): serial and
+// -partitions 1 emit bit-identical metrics and traces, and a fixed
+// sharded run is a pure function of its configuration.
 func TestTelemetryDeterministic(t *testing.T) {
-	emit := func(parts int) (metrics, trace []byte) {
-		cfg := telemetryCfg()
+	emit := func(cfg Config, parts int) (metrics, trace []byte) {
 		cfg.Partitions = parts
 		cfg.Trace = true
 		cfg.MetricsEvery = 250 * sim.Millisecond
@@ -70,23 +70,34 @@ func TestTelemetryDeterministic(t *testing.T) {
 		}
 		return m.Bytes(), tr.Bytes()
 	}
+	metro := metroCfg()
+	metro.FailSiteAt = 4 * sim.Second
+	metro.FailSite = 1
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		sharded int
+	}{
+		{"cluster", telemetryCfg(), 4},
+		{"metro", metro, 3},
+	} {
+		m0, t0 := emit(tc.cfg, 0)
+		m1, t1 := emit(tc.cfg, 1)
+		if !bytes.Equal(m0, m1) {
+			t.Errorf("%s: -partitions 1 metrics diverged from serial", tc.name)
+		}
+		if !bytes.Equal(t0, t1) {
+			t.Errorf("%s: -partitions 1 trace diverged from serial", tc.name)
+		}
 
-	m0, t0 := emit(0)
-	m1, t1 := emit(1)
-	if !bytes.Equal(m0, m1) {
-		t.Error("-partitions 1 metrics diverged from serial")
-	}
-	if !bytes.Equal(t0, t1) {
-		t.Error("-partitions 1 trace diverged from serial")
-	}
-
-	m4a, t4a := emit(4)
-	m4b, t4b := emit(4)
-	if !bytes.Equal(m4a, m4b) {
-		t.Error("two -partitions 4 runs emitted different metrics")
-	}
-	if !bytes.Equal(t4a, t4b) {
-		t.Error("two -partitions 4 runs emitted different traces")
+		mNa, tNa := emit(tc.cfg, tc.sharded)
+		mNb, tNb := emit(tc.cfg, tc.sharded)
+		if !bytes.Equal(mNa, mNb) {
+			t.Errorf("%s: two -partitions %d runs emitted different metrics", tc.name, tc.sharded)
+		}
+		if !bytes.Equal(tNa, tNb) {
+			t.Errorf("%s: two -partitions %d runs emitted different traces", tc.name, tc.sharded)
+		}
 	}
 }
 
@@ -101,7 +112,7 @@ func TestTelemetryTraceContent(t *testing.T) {
 	sc := Build(cfg)
 	res := sc.Run()
 
-	events := sc.Site().Trace().Events()
+	events := sc.Site().Plane.Tracer().Events()
 	counts := map[string]int{}
 	for _, ev := range events {
 		counts[ev.Event]++

@@ -185,26 +185,28 @@ func (ch *LiveChannel) growSite(site int) (*subtree, error) {
 	return t, nil
 }
 
-// pruneSite unsubscribes a site with no viewers left: core leaf, trunk
-// down commitment and subtree go; the home trunk branch (and its up
-// commitment) goes with the last remote site.
-func (ch *LiveChannel) pruneSite(site int) {
+// pruneSite unsubscribes a remote site, viewers or not: core leaf,
+// trunk down commitment and subtree go; the home trunk branch (and its
+// up commitment) goes with the last remote site. It reports the
+// subtree's Close error.
+func (ch *LiveChannel) pruneSite(site int) error {
 	m := ch.m
 	t := ch.trees[site]
 	if t == nil || site == ch.home {
-		return
+		return nil
 	}
 	home := ch.trees[ch.home]
 	hm, sm := m.members[ch.home], m.members[site]
 	m.coreSw.UnrouteLeaf(ch.home, home.b.Circuit().VCI, site, t.b.Circuit().VCI)
 	sm.Trunk.ReleaseDown(t.downRate)
-	_ = t.b.Close()
+	err := t.b.Close()
 	delete(ch.trees, site)
 	if len(ch.trees) == 1 && ch.upRate > 0 {
 		_ = hm.Site.Signalling.LeaveTree(home.b.Circuit().ID, hm.trunkPort)
 		hm.Trunk.ReleaseUp(ch.upRate)
 		ch.upRate = 0
 	}
+	return err
 }
 
 // syncTrunk recommits a site's trunk leg after its subtree's tier
@@ -251,37 +253,21 @@ func (lj *LiveJoin) Leave() error {
 	return err
 }
 
-// Close takes the channel off the air everywhere: every site's
-// subtree, the core leaves and the trunk commitments all release.
-// Idempotent.
+// Close takes the channel off the air everywhere: the remote sites'
+// subtrees in site order (so the trace is deterministic), with their
+// core leaves and trunk commitments, then the home tree. It reports the
+// first Close error. Idempotent.
 func (ch *LiveChannel) Close() error {
 	if ch.closed {
 		return nil
 	}
 	var err error
-	for site := range ch.trees {
-		if site == ch.home {
-			continue
-		}
-		// pruneSite handles core leaf + trunk budgets; force it by
-		// closing regardless of viewers.
-		t := ch.trees[site]
-		home := ch.trees[ch.home]
-		ch.m.coreSw.UnrouteLeaf(ch.home, home.b.Circuit().VCI, site, t.b.Circuit().VCI)
-		ch.m.members[site].Trunk.ReleaseDown(t.downRate)
-		if cerr := t.b.Close(); cerr != nil && err == nil {
+	for site := range ch.m.members {
+		if cerr := ch.pruneSite(site); err == nil {
 			err = cerr
 		}
-		delete(ch.trees, site)
 	}
-	hm := ch.m.members[ch.home]
-	home := ch.trees[ch.home]
-	if ch.upRate > 0 {
-		_ = hm.Site.Signalling.LeaveTree(home.b.Circuit().ID, hm.trunkPort)
-		hm.Trunk.ReleaseUp(ch.upRate)
-		ch.upRate = 0
-	}
-	if cerr := home.b.Close(); cerr != nil && err == nil {
+	if cerr := ch.trees[ch.home].b.Close(); err == nil {
 		err = cerr
 	}
 	ch.closed = true
@@ -291,13 +277,13 @@ func (ch *LiveChannel) Close() error {
 // traceTrunkRefusal records a trunk-refused join in the shared trace
 // with the trunk leg's headroom, mirroring spill refusals.
 func (ch *LiveChannel) traceTrunkRefusal(site int, err error) {
-	tr := ch.m.tracer
+	tr := ch.m.plane.Tracer()
 	if tr == nil {
 		return
 	}
 	th := min(ch.m.members[ch.home].Trunk.Headroom(), ch.m.members[site].Trunk.Headroom())
 	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:     ch.m.clock.Now(),
+		T:     ch.m.plane.Clock.Now(),
 		Event: "join-refused",
 		Node:  ch.spec.Title,
 		Leg:   core.LegTrunk.String(),

@@ -7,6 +7,7 @@ package metro
 // budget to zero.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -126,7 +127,7 @@ func TestMetroLiveTrunkRefusal(t *testing.T) {
 	}
 	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
 	m := h.m
-	tr := m.EnableTrace()
+	tr := m.Plane().EnableTrace()
 
 	ch, err := m.OpenBroadcast(0, liveSpec(h.viewers[0][3]))
 	if err != nil {
@@ -215,5 +216,45 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	}
 	if got := m.Member(1).Trunk.CommittedDown(); got != peakRate {
 		t.Fatalf("restored subtree's trunk leg committed %d, want %d", got, peakRate)
+	}
+}
+
+// Close tears the remote subtrees down in site order, so a channel
+// spanning four sites writes the same trace on every run (map order
+// must not leak into it) and returns every trunk budget to zero.
+func TestMetroLiveCloseDeterministic(t *testing.T) {
+	run := func() []byte {
+		cfg := Config{Sites: 4, Vod: vodsite.Config{ReplicationDisabled: true}}
+		h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
+		m := h.m
+		tr := m.Plane().EnableTrace()
+		ch, err := m.OpenBroadcast(0, liveSpec(h.viewers[0][3]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for site := 1; site < 4; site++ {
+			if _, err := ch.Join(site, h.viewers[site][0].Port); err != nil {
+				t.Fatalf("join at site %d: %v", site, err)
+			}
+		}
+		if err := ch.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for site := 0; site < 4; site++ {
+			if up, down := m.Member(site).Trunk.CommittedUp(), m.Member(site).Trunk.CommittedDown(); up != 0 || down != 0 {
+				t.Fatalf("close left site %d trunk at up=%d down=%d", site, up, down)
+			}
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := run()
+	for i := 1; i < 10; i++ {
+		if !bytes.Equal(run(), first) {
+			t.Fatalf("run %d: close trace differs from the first run's", i)
+		}
 	}
 }

@@ -116,7 +116,7 @@ const syncEvery = 250 * sim.Millisecond
 // slot the telemetry sampler owns.
 func (m *Controller) syncTick() {
 	m.SyncCatalog()
-	m.clock.CallAfter(syncEvery, m.syncTick)
+	m.plane.Clock.CallAfter(syncEvery, m.syncTick)
 }
 
 // SyncCatalog runs one anti-entropy round: each alive site exchanges

@@ -25,9 +25,10 @@
 // so the explicit trunk leg is the only place trunk bandwidth is
 // counted.
 //
-// Sharding: with Config.Partitions > 0 the metro owns one
-// sim.Cluster and hosts each site wholly on one partition
-// (round-robin), so every intra-site event chain stays
+// Sharding: the metro builds one core.Plane — the kernel (serial, or a
+// sim.Cluster with Config.Partitions > 0), the shared registry and the
+// shared tracer — and hosts each site wholly on one of its partitions
+// (round-robin, Plane.HostSite), so every intra-site event chain stays
 // partition-local and the only cross-partition hop is the core
 // switch's output forwarding — whose latency (core fabric delay +
 // trunk cell time + trunk propagation) is exactly the conservative
@@ -63,8 +64,8 @@ type Config struct {
 	// keeps the serial kernel; one runs the cluster machinery with
 	// results bit-identical to serial.
 	Partitions int
-	// Site is the per-site geometry. Name and Partitions are
-	// overwritten per member; Ports needs to cover the site's own
+	// Site is the per-site geometry. Name is overwritten per member
+	// and Partitions is ignored; Ports needs to cover the site's own
 	// endpoints only — the trunk port is added on top.
 	Site core.SiteConfig
 	// Vod is the per-site controller config (PeakRate required).
@@ -169,9 +170,9 @@ func (mb *Member) TrunkPort() int { return mb.trunkPort }
 // Failed reports whether FailSite has torn the site down.
 func (mb *Member) Failed() bool { return mb.failed }
 
-// Controller is the site-of-sites: it owns the shared event kernel,
-// the core switch, the trunks, the replicated catalog and the spill
-// admission policy.
+// Controller is the site-of-sites: it owns the shared plane (event
+// kernel, registry, tracer), the core switch, the trunks, the
+// replicated catalog and the spill admission policy.
 type Controller struct {
 	// Stats is the metro-wide scoreboard.
 	Stats Stats
@@ -188,13 +189,9 @@ type Controller struct {
 	// viewer's own site died, or no survivor had room.
 	OnDrop func(s *Session)
 
-	cfg     Config
-	clock   sim.Scheduler
-	clu     *sim.Cluster
-	coreSim *sim.Sim
-	coreSw  *fabric.Switch
-	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
+	cfg    Config
+	plane  *core.Plane
+	coreSw *fabric.Switch
 
 	members    []*Member
 	titles     []string // global catalog order (AddTitle order)
@@ -208,37 +205,16 @@ type Controller struct {
 // core switch. Add nodes and titles, then Place and Start.
 func New(cfg Config) *Controller {
 	cfg.setDefaults()
-	m := &Controller{cfg: cfg}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	lookahead := fabric.TierLookahead(cfg.CoreFabricDelay, cfg.TrunkRate, cfg.TrunkDelay)
-	if cfg.Partitions > 0 {
-		if cfg.Site.CellAccurate && cfg.Partitions > 1 {
-			panic("metro: CellAccurate is incompatible with more than one partition")
-		}
-		m.clu = sim.NewCluster(cfg.Partitions, lookahead)
-		m.coreSim = m.clu.Part(0)
-		m.clock = m.clu
-	} else {
-		m.coreSim = sim.New()
-		m.clock = m.coreSim
-	}
-	m.reg = telemetry.NewRegistry(parts)
-	m.coreSw = fabric.NewSwitch(m.coreSim, "metro-core", cfg.Sites, cfg.CoreFabricDelay)
+	p := core.NewPlane("metro", cfg.Partitions, fabric.TierLookahead(cfg.CoreFabricDelay, cfg.TrunkRate, cfg.TrunkDelay))
+	m := &Controller{cfg: cfg, plane: p}
+	m.coreSw = fabric.NewSwitch(p.Sim, "metro-core", cfg.Sites, cfg.CoreFabricDelay)
 	for i := 0; i < cfg.Sites; i++ {
-		owner := m.coreSim
-		if m.clu != nil {
-			owner = m.clu.Part(i % parts)
-		}
 		scfg := cfg.Site
 		scfg.Name = fmt.Sprintf("site%d", i)
-		scfg.Partitions = 0
 		scfg.Ports++ // the trunk port, on top of the site's own
-		site := core.NewSiteOn(m.clock, owner, parts, m.reg, scfg)
+		site := p.HostSite(scfg)
 		tp := site.ReservePort()
-		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, owner, cfg.TrunkRate, cfg.TrunkDelay)
+		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, site.Sim, cfg.TrunkRate, cfg.TrunkDelay)
 		site.Signalling.SetPortCapacity(tp, unboundedRate)
 		site.Signalling.SetUplinkCapacity(tp, unboundedRate)
 		mb := &Member{
@@ -255,19 +231,10 @@ func New(cfg Config) *Controller {
 }
 
 // Clock is the metro's run loop (the cluster when sharded).
-func (m *Controller) Clock() sim.Scheduler { return m.clock }
+func (m *Controller) Clock() sim.Scheduler { return m.plane.Clock }
 
-// Cluster is the partition cluster, nil when the metro runs serial.
-func (m *Controller) Cluster() *sim.Cluster { return m.clu }
-
-// Metrics is the shared registry every member site reports into.
-func (m *Controller) Metrics() *telemetry.Registry { return m.reg }
-
-// Lookahead is the inter-site forwarding latency the cluster is
-// synchronised under.
-func (m *Controller) Lookahead() sim.Duration {
-	return fabric.TierLookahead(m.cfg.CoreFabricDelay, m.cfg.TrunkRate, m.cfg.TrunkDelay)
-}
+// Plane is the kernel, registry and tracer every member site shares.
+func (m *Controller) Plane() *core.Plane { return m.plane }
 
 // Sites is the member count.
 func (m *Controller) Sites() int { return len(m.members) }
@@ -277,27 +244,6 @@ func (m *Controller) Member(i int) *Member { return m.members[i] }
 
 // Members returns the member sites in index order.
 func (m *Controller) Members() []*Member { return m.members }
-
-// EnableTrace turns on session lifecycle tracing metro-wide: one
-// tracer, sized to the metro's partition count, adopted by every
-// member site so all events merge into a single deterministic
-// timeline. Idempotent.
-func (m *Controller) EnableTrace() *telemetry.Tracer {
-	if m.tracer == nil {
-		parts := m.cfg.Partitions
-		if parts < 1 {
-			parts = 1
-		}
-		m.tracer = telemetry.NewTracer(parts)
-		for _, mb := range m.members {
-			mb.Site.AdoptTrace(m.tracer)
-		}
-	}
-	return m.tracer
-}
-
-// Tracer returns the metro trace recorder, nil until EnableTrace.
-func (m *Controller) Tracer() *telemetry.Tracer { return m.tracer }
 
 // Place runs title placement on every site and reports the first
 // error.
@@ -317,7 +263,7 @@ func (m *Controller) Start(cfg fileserver.CMConfig) {
 		mb.Ctrl.Start(cfg)
 	}
 	if len(m.members) > 1 {
-		m.clock.CallAfter(syncEvery, m.syncTick)
+		m.plane.Clock.CallAfter(syncEvery, m.syncTick)
 	}
 }
 
@@ -611,7 +557,7 @@ func (m *Controller) Probe(home int, title string, viewerPort int) (core.Admissi
 // per-leg headrooms plus the trunk leg — every spilled admission
 // carries a trunk-leg entry in the session trace.
 func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
-	tr := m.tracer
+	tr := m.plane.Tracer()
 	if tr == nil {
 		return
 	}
@@ -625,7 +571,7 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 	th := min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())
 	legs = append(legs, telemetry.LegSample{Leg: core.LegTrunk.String(), OK: true, Headroom: th})
 	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       m.clock.Now(),
+		T:       m.plane.Clock.Now(),
 		Event:   "spilled",
 		Session: s.id,
 		Node:    s.st.Node().SS.Name,
@@ -736,10 +682,10 @@ func (m *Controller) Sessions() []*Session { return m.sessions }
 
 // registerGauges wires the metro-level producers into the shared
 // registry: per-site spill/refusal scoreboards and trunk commitments
-// under each site's node name, catalog and kernel gauges under
-// "metro".
+// under each site's node name, catalog and core-switch gauges under
+// "metro". The kernel's gauges belong to the plane.
 func (m *Controller) registerGauges() {
-	reg := m.reg
+	reg := m.plane.Metrics
 	for _, mb := range m.members {
 		mb := mb
 		node := mb.Site.Config.Name
@@ -765,23 +711,4 @@ func (m *Controller) registerGauges() {
 	mg("admission", "spilled", func() float64 { return float64(m.Stats.Spilled) })
 	mg("admission", "refused_trunk", func() float64 { return float64(m.Stats.TrunkRefused) })
 	mg("fabric", "cells_switched", func() float64 { return float64(m.coreSw.Stats().Switched) })
-	part := func(i int, p *sim.Sim) {
-		node := fmt.Sprintf("part%d", i)
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "events_fired"},
-			func() float64 { return float64(p.Fired()) })
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "inbox_depth"},
-			func() float64 { return float64(p.Pending()) })
-	}
-	if m.clu == nil {
-		part(0, m.coreSim)
-		return
-	}
-	for i := 0; i < m.clu.Parts(); i++ {
-		part(i, m.clu.Part(i))
-	}
-	if clu := m.clu; clu.Parts() > 1 {
-		mg("sim", "windows", func() float64 { return float64(clu.Windows()) })
-		mg("sim", "barrier_stalls", func() float64 { return float64(clu.BarrierStalls()) })
-		mg("sim", "cross_delivered", func() float64 { return float64(clu.CrossDelivered()) })
-	}
 }

@@ -370,7 +370,7 @@ func TestMetroSpillTrace(t *testing.T) {
 	cfg := Config{Sites: 2, Vod: vodsite.Config{ReplicationDisabled: true}}
 	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{1} })
 	m := h.m
-	tr := m.EnableTrace()
+	tr := m.Plane().EnableTrace()
 
 	if _, err := m.OpenSession(0, titleName(0), h.viewers[0][0].Port); err != nil {
 		t.Fatal(err)
