@@ -5,45 +5,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Trunk is one edge switch's uplink into a core switch: a pair of
-// links (edge→core and core→edge) plus per-direction admission
-// budgets. It is the unit of the two-tier metro topology — every
-// inter-site path costs edge→core→edge, and the trunk budget is the
-// extra admission leg a spilled session must pass.
-//
-// The budget bookkeeping here is deliberately error-free (Commit
-// returns false when over-committed); callers that need a typed
-// refusal wrap it themselves (core.ErrTrunk in the metro layer).
-type Trunk struct {
-	// Up carries cells from the edge switch into the core.
-	Up *Link
-	// Down carries cells from the core back to the edge.
-	Down *Link
-	// EdgePort is the edge switch port the trunk occupies.
-	EdgePort int
-	// CorePort is the core switch port the trunk occupies.
-	CorePort int
-
-	capacity      int64 // per-direction bits/s admission budget
-	committedUp   int64
-	committedDown int64
-}
-
-// JoinTier wires an edge switch into a core switch over a new trunk:
-// the up link forwards the edge's trunk-port output into the core's
-// in-port, the down link forwards the core's out-port back into the
-// edge's trunk in-port. Both links (and the core in-port binding) run
-// on owner — the edge site's event kernel — so the only
-// cross-partition hop in a sharded metro is the core switch's output
-// forwarding, whose latency (core fabric delay + trunk cell time +
-// prop) is therefore the cluster lookahead bound.
-func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, owner *sim.Sim, rate int64, prop sim.Duration) *Trunk {
-	t := &Trunk{EdgePort: edgePort, CorePort: corePort, capacity: rate}
-	t.Up = NewLink(owner, rate, prop, 0, core.BindIn(corePort, owner))
-	edge.AttachOutput(edgePort, t.Up)
-	t.Down = NewLink(owner, rate, prop, 0, edge.BindIn(edgePort, owner))
-	core.AttachOutput(corePort, t.Down)
-	return t
+// JoinTier wires an edge switch into a core switch over a new trunk,
+// the unit of the two-tier metro topology: the up link forwards the
+// edge's trunk-port output into the core's in-port, the down link
+// forwards the core's out-port back into the edge's trunk in-port.
+// Both links (and the core in-port binding) run on owner — the edge
+// site's event kernel — so the only cross-partition hop in a sharded
+// metro is the core switch's output forwarding, whose latency (core
+// fabric delay + trunk cell time + prop) is therefore the cluster
+// lookahead bound. The trunk's bandwidth is admitted by the edge
+// switch's signalling at the trunk port, like any other link.
+func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, owner *sim.Sim, rate int64, prop sim.Duration) (up, down *Link) {
+	up = NewLink(owner, rate, prop, 0, core.BindIn(corePort, owner))
+	edge.AttachOutput(edgePort, up)
+	down = NewLink(owner, rate, prop, 0, edge.BindIn(edgePort, owner))
+	core.AttachOutput(corePort, down)
+	return up, down
 }
 
 // TierLookahead is the core→edge forwarding latency of a trunk built
@@ -53,69 +30,4 @@ func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, owner *sim
 func TierLookahead(coreFabricDelay sim.Duration, rate int64, prop sim.Duration) sim.Duration {
 	ct := sim.Duration(int64(atm.CellSize*8) * int64(sim.Second) / rate)
 	return coreFabricDelay + ct + prop
-}
-
-// Capacity is the trunk's per-direction admission budget in bits/s.
-func (t *Trunk) Capacity() int64 { return t.capacity }
-
-// CommittedUp is the edge→core bandwidth currently committed.
-func (t *Trunk) CommittedUp() int64 { return t.committedUp }
-
-// CommittedDown is the core→edge bandwidth currently committed.
-func (t *Trunk) CommittedDown() int64 { return t.committedDown }
-
-// CanUp reports whether rate more bits/s fit in the up direction.
-func (t *Trunk) CanUp(rate int64) bool { return t.committedUp+rate <= t.capacity }
-
-// CanDown reports whether rate more bits/s fit in the down direction.
-func (t *Trunk) CanDown(rate int64) bool { return t.committedDown+rate <= t.capacity }
-
-// CommitUp reserves rate bits/s edge→core; false when over budget.
-func (t *Trunk) CommitUp(rate int64) bool {
-	if !t.CanUp(rate) {
-		return false
-	}
-	t.committedUp += rate
-	return true
-}
-
-// CommitDown reserves rate bits/s core→edge; false when over budget.
-func (t *Trunk) CommitDown(rate int64) bool {
-	if !t.CanDown(rate) {
-		return false
-	}
-	t.committedDown += rate
-	return true
-}
-
-// ReleaseUp returns rate bits/s of edge→core budget.
-func (t *Trunk) ReleaseUp(rate int64) {
-	t.committedUp -= rate
-	if t.committedUp < 0 {
-		panic("fabric: trunk up-direction release underflow")
-	}
-}
-
-// ReleaseDown returns rate bits/s of core→edge budget.
-func (t *Trunk) ReleaseDown(rate int64) {
-	t.committedDown -= rate
-	if t.committedDown < 0 {
-		panic("fabric: trunk down-direction release underflow")
-	}
-}
-
-// Headroom is the trunk's remaining budget as a fraction of capacity,
-// taken over the tighter of the two directions.
-func (t *Trunk) Headroom() float64 {
-	if t.capacity <= 0 {
-		return 0
-	}
-	free := t.capacity - t.committedUp
-	if d := t.capacity - t.committedDown; d < free {
-		free = d
-	}
-	if free < 0 {
-		free = 0
-	}
-	return float64(free) / float64(t.capacity)
 }

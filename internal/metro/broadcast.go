@@ -12,15 +12,18 @@ package metro
 // local branch: exactly the paper's one-event-per-train-per-switch
 // cost model, federated.
 //
-// Budgets: the home trunk's up direction is committed once per channel
-// (at the home tier's rate); each subscribed site's down direction is
-// committed at that site's subtree tier. A subtree that degrades under
-// local join pressure recommits its down leg at the lower tier — the
-// model is a layered stream whose enhancement cells the trunk ingress
-// drops, so a degraded site's links (trunk included) only carry the
-// degraded rate. A join refused because a trunk direction lacks
-// headroom surfaces core.ErrTrunk, the same leg taxonomy as spill
-// admission.
+// Budgets are netsig's, like every other link's: the home tree's trunk
+// branch charges the home trunk's up direction once per channel (at
+// the home tier's rate), and each subscribed site's subtree, rooted at
+// its trunk port, charges that trunk's down direction as the tree's
+// uplink (at the site's subtree tier). So the tier ladder moves the
+// trunk legs with everything else: a subtree that degrades under local
+// join pressure shrinks its down leg in place — the model is a layered
+// stream whose enhancement cells the trunk ingress drops, so a
+// degraded site's links (trunk included) only carry the degraded rate
+// — and a climb the trunk cannot carry is refused like any other. A
+// join refused because a trunk direction lacks headroom surfaces
+// core.ErrTrunk, the same leg taxonomy as spill admission.
 
 import (
 	"errors"
@@ -33,20 +36,16 @@ import (
 // ErrChannelClosed reports a verb on a closed metro channel.
 var ErrChannelClosed = errors.New("metro: live channel is closed")
 
-// subtree is one member site's share of a live channel.
-type subtree struct {
-	b        *core.Broadcast
-	downRate int64 // trunk down-direction commitment (0 at the home site)
-}
-
 // LiveChannel is one live broadcast spanning the federation.
 type LiveChannel struct {
 	m    *Controller
 	home int
 	spec core.BroadcastSpec
 
-	trees  map[int]*subtree // per-site subtree, home included
-	upRate int64            // home trunk up commitment (0 until a remote site subscribes)
+	// trees holds each subscribed site's subtree, home included; the
+	// home tree has its trunk branch exactly while a remote site is
+	// subscribed.
+	trees  map[int]*core.Broadcast
 	closed bool
 }
 
@@ -73,7 +72,7 @@ func (m *Controller) OpenBroadcast(home int, spec core.BroadcastSpec) (*LiveChan
 	if err != nil {
 		return nil, err
 	}
-	ch := &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*subtree{home: {b: b}}}
+	ch := &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*core.Broadcast{home: b}}
 	return ch, nil
 }
 
@@ -83,21 +82,15 @@ func (ch *LiveChannel) Home() int { return ch.home }
 // Viewers reports the channel's total viewer count across all sites.
 func (ch *LiveChannel) Viewers() int {
 	n := 0
-	for _, t := range ch.trees {
-		n += t.b.Viewers()
+	for _, b := range ch.trees {
+		n += b.Viewers()
 	}
 	return n
 }
 
 // Subtree returns the site's core.Broadcast (nil when the site has no
 // viewers on this channel).
-func (ch *LiveChannel) Subtree(site int) *core.Broadcast {
-	t := ch.trees[site]
-	if t == nil {
-		return nil
-	}
-	return t.b
-}
+func (ch *LiveChannel) Subtree(site int) *core.Broadcast { return ch.trees[site] }
 
 // Closed reports whether the channel is off the air.
 func (ch *LiveChannel) Closed() bool { return ch.closed }
@@ -109,7 +102,7 @@ func (ch *LiveChannel) Closed() bool { return ch.closed }
 // core.ErrTrunk — then one core-switch multicast leaf replicates the
 // trunk copy onto the site, and a subtree rooted at its trunk ingress
 // admits the viewer's branch. Local link pressure degrades only that
-// site's subtree tier, recommitting its trunk leg at the lower rate.
+// site's subtree tier, shrinking its trunk leg to the lower rate.
 func (ch *LiveChannel) Join(site, port int) (*LiveJoin, error) {
 	if ch.closed {
 		return nil, ErrChannelClosed
@@ -118,37 +111,38 @@ func (ch *LiveChannel) Join(site, port int) (*LiveJoin, error) {
 	if mb.failed {
 		return nil, fmt.Errorf("metro: site %d has failed", site)
 	}
-	t := ch.trees[site]
-	if t == nil {
+	b := ch.trees[site]
+	if b == nil {
 		var err error
-		t, err = ch.growSite(site)
+		b, err = ch.growSite(site)
 		if err != nil {
 			return nil, err
 		}
 	}
-	before := t.b.Factor()
-	j, err := t.b.Join(port)
+	j, err := b.Join(port)
 	if err != nil {
-		if site != ch.home && t.b.Viewers() == 0 {
-			ch.pruneSite(site)
+		if site != ch.home && b.Viewers() == 0 {
+			_ = ch.pruneSite(site) // the join's refusal is what the caller needs
 		}
 		return nil, err
 	}
-	ch.syncTrunk(site, t, before)
 	return &LiveJoin{ch: ch, site: site, j: j}, nil
 }
 
 // growSite subscribes a remote site to the channel: trunk admission
 // (up once per channel, down once per site), the core-switch multicast
 // leaf, and a fresh subtree at the site's trunk ingress.
-func (ch *LiveChannel) growSite(site int) (*subtree, error) {
+func (ch *LiveChannel) growSite(site int) (*core.Broadcast, error) {
 	m := ch.m
 	home := ch.trees[ch.home]
 	hm, sm := m.members[ch.home], m.members[site]
-	upRate := home.b.Rate()
-	needUp := ch.upRate == 0
-	downRate := ch.spec.PeakRate
-	if (needUp && !hm.Trunk.CanUp(upRate)) || !sm.Trunk.CanDown(downRate) {
+	// The first remote site grows the home tree's trunk branch.
+	needUp := len(ch.trees) == 1
+	var upRate int64
+	if needUp {
+		upRate = home.Rate()
+	}
+	if !m.trunkLeg(hm, sm, upRate, ch.spec.PeakRate).OK {
 		hm.Stats.RefusedTrunk++
 		m.Stats.TrunkRefused++
 		err := fmt.Errorf("%w: live channel %q homed at site %d", core.ErrTrunk, ch.spec.Title, ch.home)
@@ -166,73 +160,44 @@ func (ch *LiveChannel) growSite(site int) (*subtree, error) {
 		return nil, err
 	}
 	if needUp {
-		// The home tree's single trunk branch: netsig admits it against
-		// the trunk port's (unbounded) edge budget; the real budget is
-		// the fabric.Trunk commitment below.
-		if err := hm.Site.Signalling.JoinTree(home.b.Circuit().ID, hm.trunkPort); err != nil {
+		if err := hm.Site.Signalling.JoinTree(home.Circuit().ID, hm.trunkPort); err != nil {
 			_ = sb.Close()
 			return nil, err
 		}
-		hm.Trunk.CommitUp(upRate)
-		ch.upRate = upRate
 	}
-	sm.Trunk.CommitDown(downRate)
 	// One copy per subscribed site: the core switch replicates the
 	// trunk copy, rewriting onto the site's subtree circuit.
-	m.coreSw.Route(ch.home, home.b.Circuit().VCI, site, sb.Circuit().VCI)
-	t := &subtree{b: sb, downRate: downRate}
-	ch.trees[site] = t
-	return t, nil
+	m.coreSw.Route(ch.home, home.Circuit().VCI, site, sb.Circuit().VCI)
+	ch.trees[site] = sb
+	return sb, nil
 }
 
-// pruneSite unsubscribes a remote site, viewers or not: core leaf,
-// trunk down commitment and subtree go; the home trunk branch (and its
-// up commitment) goes with the last remote site. It reports the
-// subtree's Close error.
+// pruneSite unsubscribes a remote site, viewers or not: core leaf and
+// subtree (with its trunk down charge) go; the home tree's trunk
+// branch (with its up charge) goes with the last remote site. It
+// reports the first error of the subtree's Close and the branch's
+// LeaveTree.
 func (ch *LiveChannel) pruneSite(site int) error {
-	m := ch.m
-	t := ch.trees[site]
-	if t == nil || site == ch.home {
+	sb := ch.trees[site]
+	if sb == nil || site == ch.home {
 		return nil
 	}
 	home := ch.trees[ch.home]
-	hm, sm := m.members[ch.home], m.members[site]
-	m.coreSw.UnrouteLeaf(ch.home, home.b.Circuit().VCI, site, t.b.Circuit().VCI)
-	sm.Trunk.ReleaseDown(t.downRate)
-	err := t.b.Close()
+	hm := ch.m.members[ch.home]
+	ch.m.coreSw.UnrouteLeaf(ch.home, home.Circuit().VCI, site, sb.Circuit().VCI)
+	err := sb.Close()
 	delete(ch.trees, site)
-	if len(ch.trees) == 1 && ch.upRate > 0 {
-		_ = hm.Site.Signalling.LeaveTree(home.b.Circuit().ID, hm.trunkPort)
-		hm.Trunk.ReleaseUp(ch.upRate)
-		ch.upRate = 0
+	if len(ch.trees) == 1 {
+		if lerr := hm.Site.Signalling.LeaveTree(home.Circuit().ID, hm.trunkPort); err == nil {
+			err = lerr
+		}
 	}
 	return err
 }
 
-// syncTrunk recommits a site's trunk leg after its subtree's tier
-// moved: the down direction follows the subtree rate (home: the up
-// direction follows the home tier).
-func (ch *LiveChannel) syncTrunk(site int, t *subtree, beforeFactor float64) {
-	if t.b.Factor() == beforeFactor {
-		return
-	}
-	hm := ch.m.members[ch.home]
-	if site == ch.home {
-		if ch.upRate > 0 {
-			hm.Trunk.ReleaseUp(ch.upRate)
-			ch.upRate = t.b.Rate()
-			hm.Trunk.CommitUp(ch.upRate)
-		}
-		return
-	}
-	sm := ch.m.members[site]
-	sm.Trunk.ReleaseDown(t.downRate)
-	t.downRate = t.b.Rate()
-	sm.Trunk.CommitDown(t.downRate)
-}
-
 // Leave removes the viewer; a site whose last viewer leaves is
-// unsubscribed (trunk budgets released, core leaf pruned). Idempotent.
+// unsubscribed (trunk charges released, core leaf pruned). It reports
+// the first error of the leave and the unsubscription. Idempotent.
 func (lj *LiveJoin) Leave() error {
 	if lj.done {
 		return nil
@@ -242,20 +207,18 @@ func (lj *LiveJoin) Leave() error {
 	if ch.closed {
 		return nil
 	}
-	t := ch.trees[lj.site]
-	before := t.b.Factor()
 	err := lj.j.Leave()
-	if lj.site != ch.home && t.b.Viewers() == 0 {
-		ch.pruneSite(lj.site)
-	} else {
-		ch.syncTrunk(lj.site, t, before)
+	if lj.site != ch.home && ch.trees[lj.site].Viewers() == 0 {
+		if perr := ch.pruneSite(lj.site); err == nil {
+			err = perr
+		}
 	}
 	return err
 }
 
 // Close takes the channel off the air everywhere: the remote sites'
 // subtrees in site order (so the trace is deterministic), with their
-// core leaves and trunk commitments, then the home tree. It reports the
+// core leaves and trunk charges, then the home tree. It reports the
 // first Close error. Idempotent.
 func (ch *LiveChannel) Close() error {
 	if ch.closed {
@@ -267,7 +230,7 @@ func (ch *LiveChannel) Close() error {
 			err = cerr
 		}
 	}
-	if cerr := ch.trees[ch.home].b.Close(); err == nil {
+	if cerr := ch.trees[ch.home].Close(); err == nil {
 		err = cerr
 	}
 	ch.closed = true
@@ -281,13 +244,13 @@ func (ch *LiveChannel) traceTrunkRefusal(site int, err error) {
 	if tr == nil {
 		return
 	}
-	th := min(ch.m.members[ch.home].Trunk.Headroom(), ch.m.members[site].Trunk.Headroom())
+	tl := ch.m.trunkLeg(ch.m.members[ch.home], ch.m.members[site], 0, 0)
 	tr.Record(tr.GlobalShard(), telemetry.Event{
 		T:     ch.m.plane.Clock.Now(),
 		Event: "join-refused",
 		Node:  ch.spec.Title,
 		Leg:   core.LegTrunk.String(),
 		Err:   err.Error(),
-		Legs:  []telemetry.LegSample{{Leg: core.LegTrunk.String(), OK: false, Headroom: th}},
+		Legs:  []telemetry.LegSample{{Leg: core.LegTrunk.String(), OK: false, Headroom: tl.Headroom}},
 	})
 }

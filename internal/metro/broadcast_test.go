@@ -1,10 +1,10 @@
 package metro
 
 // Metro live-broadcast tests: one trunk copy per subscribed site,
-// trunk budgets held once per channel (up) and once per site (down),
-// subtree degrade recommitting its trunk leg, trunk refusals with the
-// spill-admission leg taxonomy, and leave-all/Close returning every
-// budget to zero.
+// trunk charges held once per channel (up) and once per site (down),
+// subtree degrade moving its trunk leg, a climb the trunk cannot carry
+// refused, trunk refusals with the spill-admission leg taxonomy, and
+// leave-all/Close returning every charge to zero.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsig"
 	"repro/internal/vodsite"
 )
 
@@ -40,7 +41,7 @@ func TestMetroLiveOneCopyPerSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	homeVCI := ch.Subtree(0).Circuit().VCI
-	if got := m.Member(0).Trunk.CommittedUp(); got != 0 {
+	if got := trunkUp(m.Member(0)); got != 0 {
 		t.Fatalf("open committed %d on the home trunk before any remote viewer", got)
 	}
 
@@ -61,14 +62,14 @@ func TestMetroLiveOneCopyPerSite(t *testing.T) {
 	if got := m.coreSw.Leaves(0, homeVCI); got != 2 {
 		t.Fatalf("core switch carries %d leaves for the channel, want 2 (one per site)", got)
 	}
-	if got, want := m.Member(0).Trunk.CommittedUp(), ch.Subtree(0).Rate(); got != want {
+	if got, want := trunkUp(m.Member(0)), ch.Subtree(0).Rate(); got != want {
 		t.Fatalf("home trunk up committed %d, want %d (once per channel)", got, want)
 	}
 	for _, site := range []int{1, 2} {
-		if got := m.Member(site).Trunk.CommittedDown(); got != peakRate {
+		if got := trunkDown(m.Member(site)); got != peakRate {
 			t.Fatalf("site %d trunk down committed %d, want %d (once per site)", site, got, peakRate)
 		}
-		if got := m.Member(site).Trunk.CommittedUp(); got != 0 {
+		if got := trunkUp(m.Member(site)); got != 0 {
 			t.Fatalf("site %d trunk up committed %d for a downstream channel", site, got)
 		}
 	}
@@ -87,7 +88,7 @@ func TestMetroLiveOneCopyPerSite(t *testing.T) {
 	if ch.Subtree(1) != nil {
 		t.Fatal("empty site still subscribed")
 	}
-	if got := m.Member(1).Trunk.CommittedDown(); got != 0 {
+	if got := trunkDown(m.Member(1)); got != 0 {
 		t.Fatalf("unsubscribed site still commits %d down", got)
 	}
 	if got := m.coreSw.Leaves(0, homeVCI); got != 1 {
@@ -98,7 +99,7 @@ func TestMetroLiveOneCopyPerSite(t *testing.T) {
 	if err := joins[3].Leave(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Member(0).Trunk.CommittedUp(); got != 0 {
+	if got := trunkUp(m.Member(0)); got != 0 {
 		t.Fatalf("home trunk up still committed %d with no remote site", got)
 	}
 	if got := m.coreSw.Leaves(0, homeVCI); got != 0 {
@@ -110,7 +111,7 @@ func TestMetroLiveOneCopyPerSite(t *testing.T) {
 	}
 	for site := 0; site < 3; site++ {
 		mb := m.Member(site)
-		if up, down := mb.Trunk.CommittedUp(), mb.Trunk.CommittedDown(); up != 0 || down != 0 {
+		if up, down := trunkUp(mb), trunkDown(mb); up != 0 || down != 0 {
 			t.Fatalf("close left site %d trunk at up=%d down=%d", site, up, down)
 		}
 	}
@@ -140,10 +141,10 @@ func TestMetroLiveTrunkRefusal(t *testing.T) {
 	if m.Member(0).Stats.RefusedTrunk != 1 || m.Stats.TrunkRefused != 1 {
 		t.Fatalf("trunk refusal not counted: %+v / %+v", m.Member(0).Stats, m.Stats)
 	}
-	if ch.Subtree(1) != nil || ch.upRate != 0 {
+	if ch.Subtree(1) != nil || trunkUp(m.Member(0)) != 0 {
 		t.Fatal("refused join held a subtree or the up leg")
 	}
-	if got := m.Member(1).Trunk.CommittedDown(); got != 0 {
+	if got := trunkDown(m.Member(1)); got != 0 {
 		t.Fatalf("refused join held %d on the down leg", got)
 	}
 	refused := 0
@@ -185,7 +186,7 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	if _, err := ch.Join(1, h.viewers[1][0].Port); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Member(1).Trunk.CommittedDown(); got != peakRate {
+	if got := trunkDown(m.Member(1)); got != peakRate {
 		t.Fatalf("uncontended subscription commits %d down, want %d", got, peakRate)
 	}
 	jTight, err := ch.Join(1, tight)
@@ -196,7 +197,7 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	if !sub.Degraded() {
 		t.Fatal("pressured join did not degrade the subtree")
 	}
-	if got, want := m.Member(1).Trunk.CommittedDown(), sub.Rate(); got != want {
+	if got, want := trunkDown(m.Member(1)), sub.Rate(); got != want {
 		t.Fatalf("degraded subtree's trunk leg committed %d, want the degraded %d", got, want)
 	}
 	// Only the remote subtree moved: the home tier (and up leg) is its
@@ -204,7 +205,7 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	if ch.Subtree(0).Degraded() {
 		t.Fatal("remote pressure degraded the home tree")
 	}
-	if got, want := m.Member(0).Trunk.CommittedUp(), ch.Subtree(0).Rate(); got != want {
+	if got, want := trunkUp(m.Member(0)), ch.Subtree(0).Rate(); got != want {
 		t.Fatalf("home up leg committed %d, want %d", got, want)
 	}
 
@@ -214,7 +215,7 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	if sub.Degraded() {
 		t.Fatal("slack-making leave did not restore the subtree")
 	}
-	if got := m.Member(1).Trunk.CommittedDown(); got != peakRate {
+	if got := trunkDown(m.Member(1)); got != peakRate {
 		t.Fatalf("restored subtree's trunk leg committed %d, want %d", got, peakRate)
 	}
 }
@@ -241,7 +242,7 @@ func TestMetroLiveCloseDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for site := 0; site < 4; site++ {
-			if up, down := m.Member(site).Trunk.CommittedUp(), m.Member(site).Trunk.CommittedDown(); up != 0 || down != 0 {
+			if up, down := trunkUp(m.Member(site)), trunkDown(m.Member(site)); up != 0 || down != 0 {
 				t.Fatalf("close left site %d trunk at up=%d down=%d", site, up, down)
 			}
 		}
@@ -256,5 +257,122 @@ func TestMetroLiveCloseDeterministic(t *testing.T) {
 		if !bytes.Equal(run(), first) {
 			t.Fatalf("run %d: close trace differs from the first run's", i)
 		}
+	}
+}
+
+// The trunk ledger cannot drift from its live holds: with a channel's
+// home tree degraded by a tight local port and a spilled VoD session
+// sharing the home trunk's up direction, the tight viewer's leave lets
+// the home tree climb only if the trunk can carry the climb. Here it
+// cannot, so the tree stays degraded; the committed up rate is always
+// the sum of the holds and never above TrunkRate, and closing the
+// channel and then the session returns it to zero.
+func TestMetroLiveRestoreCannotOversubscribeTrunk(t *testing.T) {
+	cfg := Config{
+		Sites:     3,
+		Vod:       vodsite.Config{ReplicationDisabled: true},
+		TrunkRate: peakRate * 19 / 10,
+	}
+	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
+	m := h.m
+	home := m.Member(0)
+
+	ch, err := m.OpenBroadcast(0, liveSpec(h.viewers[0][3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spills []*Session
+	// checkUp asserts site 0's up charge is exactly its live holds: the
+	// channel's trunk branch at the home tier plus the sessions it
+	// serves across the trunk.
+	checkUp := func(when string) {
+		t.Helper()
+		var want int64
+		if !ch.Closed() && ch.Subtree(2) != nil {
+			want += ch.Subtree(0).Rate()
+		}
+		for _, s := range spills {
+			if !s.Closed() {
+				want += s.rate
+			}
+		}
+		if got := trunkUp(home); got != want || got > cfg.TrunkRate {
+			t.Errorf("%s: site 0 trunk up committed %d, want %d (the live holds) <= %d",
+				when, got, want, cfg.TrunkRate)
+		}
+	}
+
+	if _, err := ch.Join(2, h.viewers[2][0].Port); err != nil {
+		t.Fatal(err)
+	}
+	checkUp("remote viewer joined")
+	tight := h.viewers[0][1].Port
+	home.Site.Signalling.SetPortCapacity(tight, peakRate*8/10)
+	jTight, err := ch.Join(0, tight)
+	if err != nil {
+		t.Fatalf("tight home join refused instead of degrading: %v", err)
+	}
+	if !ch.Subtree(0).Degraded() {
+		t.Fatal("tight home join did not degrade the home tree")
+	}
+	checkUp("home tree degraded")
+
+	s, err := m.OpenSession(1, titleName(0), h.viewers[1][0].Port)
+	if err != nil {
+		t.Fatalf("spill from site 0 refused: %v", err)
+	}
+	if s.Served != 0 {
+		t.Fatalf("session served at site %d, want 0", s.Served)
+	}
+	spills = append(spills, s)
+	checkUp("spill served by site 0")
+
+	// The climb back to full quality needs more up bandwidth than the
+	// trunk has left: it is refused and the home tree stays degraded.
+	if err := jTight.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	if !ch.Subtree(0).Degraded() {
+		t.Error("home tree climbed past the trunk's capacity")
+	}
+	checkUp("tight viewer left")
+
+	if err := ch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkUp("channel closed")
+	s.Close()
+	checkUp("spill closed")
+	for i, mb := range m.Members() {
+		if up, down := trunkUp(mb), trunkDown(mb); up != 0 || down != 0 {
+			t.Fatalf("site %d trunk left at up=%d down=%d", i, up, down)
+		}
+	}
+}
+
+// A leave that unsubscribes a site reports the unsubscription's error
+// (here the home tree's trunk branch is already gone, torn down behind
+// the channel's back), and still unsubscribes the site.
+func TestMetroLiveLeaveReportsPruneError(t *testing.T) {
+	cfg := Config{Sites: 2, Vod: vodsite.Config{ReplicationDisabled: true}}
+	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
+	m := h.m
+
+	ch, err := m.OpenBroadcast(0, liveSpec(h.viewers[0][3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := ch.Join(1, h.viewers[1][0].Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Member(0).Site.Signalling.TearDown(ch.Subtree(0).Circuit().ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Leave(); !errors.Is(err, netsig.ErrNoCircuit) {
+		t.Fatalf("Leave = %v, want the trunk branch's netsig.ErrNoCircuit", err)
+	}
+	if ch.Subtree(1) != nil || trunkDown(m.Member(1)) != 0 {
+		t.Fatal("failed unsubscription left site 1 subscribed")
 	}
 }

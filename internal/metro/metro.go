@@ -1,9 +1,9 @@
 // Package metro federates N vodsite sites into a metro/region behind
 // a hierarchical fabric. Each site keeps its own edge switch, storage
 // nodes and vodsite controller; the metro adds the second tier — every
-// edge switch uplinks into one core switch over a fabric.Trunk with
-// per-direction admission budgets — plus the two control-plane pieces
-// the paper's QoS architecture composes on top:
+// edge switch uplinks into one core switch over a trunk
+// (fabric.JoinTier) — plus the two control-plane pieces the paper's
+// QoS architecture composes on top:
 //
 //   - an LF-style fully-replicated title catalog: every site stores
 //     the whole (small, slowly changing) metadata set, so the spill
@@ -19,11 +19,12 @@
 // vodsite stream on the serving site (server uplink ∧ disk ∧ CPU,
 // terminating at that site's trunk port), a VCI-rewriting route
 // across the core switch, and a link-only session on the home site
-// (trunk in-port → viewer downlink). The trunk budget itself is
-// committed per direction — up at the serving site, down at the home
-// site — and both sites' trunk ports carry unbounded netsig capacity
-// so the explicit trunk leg is the only place trunk bandwidth is
-// counted.
+// (trunk in-port → viewer downlink). Trunk bandwidth has one ledger,
+// netsig: a trunk port's link capacity is the trunk's up budget
+// (edge→core) and its uplink capacity the down budget (core→edge),
+// both Config.TrunkRate. The serving stream's leaf on the serving
+// site's trunk port charges up there, the home leg's in-port charges
+// down at the home site, and closing either leg releases its charge.
 //
 // Sharding: the metro builds one core.Plane — the kernel (serial, or a
 // sim.Cluster with Config.Partitions > 0), the shared registry and the
@@ -48,11 +49,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/vodsite"
 )
-
-// unboundedRate neutralises netsig budgeting on trunk ports: the
-// explicit per-direction fabric.Trunk budget is the only trunk
-// accounting, never double-counted against a port's link capacity.
-const unboundedRate int64 = 1 << 60
 
 // Config parameterises a metro federation.
 type Config struct {
@@ -151,8 +147,6 @@ type Member struct {
 	Site *core.Site
 	// Ctrl is the site's vodsite controller.
 	Ctrl *vodsite.Controller
-	// Trunk is the site's uplink into the core switch.
-	Trunk *fabric.Trunk
 	// Stats is the site's metro scoreboard.
 	Stats SiteStats
 
@@ -169,6 +163,30 @@ func (mb *Member) TrunkPort() int { return mb.trunkPort }
 
 // Failed reports whether FailSite has torn the site down.
 func (mb *Member) Failed() bool { return mb.failed }
+
+// trunkCommitted reports the bandwidth netsig holds on the site's
+// trunk: up (edge→core) on the trunk port's link, down (core→edge) on
+// its uplink.
+func (mb *Member) trunkCommitted() (up, down int64) {
+	sig := mb.Site.Signalling
+	return sig.Committed(mb.trunkPort), sig.CommittedUplink(mb.trunkPort)
+}
+
+// trunkLeg reports the trunk leg of a path that leaves site from's
+// edge switch and enters site to's: OK when upRate more bits/s fit on
+// from's up direction and downRate more on to's down direction, with
+// the headroom of the tightest direction of either trunk.
+func (m *Controller) trunkLeg(from, to *Member, upRate, downRate int64) core.LegReport {
+	fu, fd := from.trunkCommitted()
+	tu, td := to.trunkCommitted()
+	c := m.cfg.TrunkRate
+	return core.LegReport{
+		Leg:      core.LegTrunk,
+		Present:  true,
+		OK:       fu+upRate <= c && td+downRate <= c,
+		Headroom: float64(max(0, c-max(fu, fd, tu, td))) / float64(c),
+	}
+}
 
 // Controller is the site-of-sites: it owns the shared plane (event
 // kernel, registry, tracer), the core switch, the trunks, the
@@ -214,11 +232,11 @@ func New(cfg Config) *Controller {
 		scfg.Ports++ // the trunk port, on top of the site's own
 		site := p.HostSite(scfg)
 		tp := site.ReservePort()
-		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, site.Sim, cfg.TrunkRate, cfg.TrunkDelay)
-		site.Signalling.SetPortCapacity(tp, unboundedRate)
-		site.Signalling.SetUplinkCapacity(tp, unboundedRate)
+		fabric.JoinTier(site.Switch, tp, m.coreSw, i, site.Sim, cfg.TrunkRate, cfg.TrunkDelay)
+		site.Signalling.SetPortCapacity(tp, cfg.TrunkRate)
+		site.Signalling.SetUplinkCapacity(tp, cfg.TrunkRate)
 		mb := &Member{
-			Index: i, Site: site, Trunk: trunk,
+			Index: i, Site: site,
 			m: m, trunkPort: tp,
 			cat:      make(map[string]*entry),
 			pressure: make(map[string]int),
@@ -329,8 +347,9 @@ func (s *Session) ViewerVCI() atm.VCI {
 // Closed reports whether the session is down.
 func (s *Session) Closed() bool { return s.closed }
 
-// Close releases every leg: the serving stream, the core route, the
-// home leg and both trunk-direction budgets.
+// Close releases every leg: the serving stream (with its trunk up
+// charge), the core route and the home leg (with its trunk down
+// charge).
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -344,8 +363,6 @@ func (s *Session) Close() {
 func (s *Session) release() {
 	if s.Spilled() {
 		s.m.coreSw.Unroute(s.Served, s.coreVCI)
-		s.m.members[s.Served].Trunk.ReleaseUp(s.rate)
-		s.m.members[s.Home].Trunk.ReleaseDown(s.rate)
 	}
 	if s.st != nil {
 		if !s.st.Released() {
@@ -424,16 +441,23 @@ func (m *Controller) admit(s *Session) error {
 	trunkShort := false
 	for sm := range m.spillCandidates(s.Home, s.Title, ent) {
 		idx := sm.Index
-		rep := sm.Ctrl.Probe(s.Title, sm.trunkPort)
+		// The node-local legs first, then the trunk: a neighbor with
+		// serving room behind a full trunk is a trunk refusal.
+		rep := sm.Ctrl.Probe(s.Title, -1)
 		if !rep.OK {
 			lastErr = fmt.Errorf("%w: metro: site %d refused %q on %s",
 				vodsite.ErrNoReplica, idx, s.Title, rep.FirstRefusal)
 			continue
 		}
-		if !sm.Trunk.CanUp(s.rate) || !hm.Trunk.CanDown(s.rate) {
+		if !m.trunkLeg(sm, hm, s.rate, s.rate).OK {
 			trunkShort = true
 			continue
 		}
+		// The spill trace's link leg: the serving stream leaves
+		// through the trunk port.
+		rep.Legs[core.LegLink] = sm.Site.Probe(core.SessionSpec{
+			OutPorts: []int{sm.trunkPort}, PeakRate: s.rate,
+		}).Leg(core.LegLink)
 		st, err := sm.Ctrl.Admit(s.Title, sm.trunkPort)
 		if err != nil {
 			lastErr = err
@@ -450,8 +474,6 @@ func (m *Controller) admit(s *Session) error {
 			lastErr = err
 			break // the viewer's own downlink refused; no neighbor helps
 		}
-		sm.Trunk.CommitUp(s.rate)
-		hm.Trunk.CommitDown(s.rate)
 		m.coreSw.Route(idx, st.VCI(), s.Home, hs.VCI())
 		s.st, s.homeSess, s.Served, s.coreVCI = st, hs, idx, st.VCI()
 		hm.Stats.SpillOut++
@@ -531,12 +553,10 @@ func (m *Controller) Probe(home int, title string, viewerPort int) (core.Admissi
 		Class: m.cfg.Vod.Class, OutPorts: []int{viewerPort}, PeakRate: rate,
 	}).Leg(core.LegLink)
 	for sm := range m.spillCandidates(home, title, ent) {
-		rep := sm.Ctrl.Probe(title, sm.trunkPort)
+		rep := sm.Ctrl.Probe(title, -1)
 		rep.Legs[core.LegLink] = link
-		tl := &rep.Legs[core.LegTrunk]
-		tl.Present = true
-		tl.OK = sm.Trunk.CanUp(rate) && hm.Trunk.CanDown(rate)
-		tl.Headroom = min(sm.Trunk.Headroom(), hm.Trunk.Headroom())
+		tl := m.trunkLeg(sm, hm, rate, rate)
+		rep.Legs[core.LegTrunk] = tl
 		if rep.OK && (!link.OK || !tl.OK) {
 			rep.OK = false
 			if !link.OK {
@@ -561,15 +581,13 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 	if tr == nil {
 		return
 	}
+	rep.Legs[core.LegTrunk] = m.trunkLeg(m.members[s.Served], m.members[s.Home], 0, 0)
 	var legs []telemetry.LegSample
 	for _, lr := range rep.Legs {
-		if !lr.Present {
-			continue
+		if lr.Present {
+			legs = append(legs, telemetry.LegSample{Leg: lr.Leg.String(), OK: lr.OK, Headroom: lr.Headroom})
 		}
-		legs = append(legs, telemetry.LegSample{Leg: lr.Leg.String(), OK: lr.OK, Headroom: lr.Headroom})
 	}
-	th := min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())
-	legs = append(legs, telemetry.LegSample{Leg: core.LegTrunk.String(), OK: true, Headroom: th})
 	tr.Record(tr.GlobalShard(), telemetry.Event{
 		T:       m.plane.Clock.Now(),
 		Event:   "spilled",
@@ -699,8 +717,8 @@ func (m *Controller) registerGauges() {
 		g("refused_trunk", func() float64 { return float64(mb.Stats.RefusedTrunk) })
 		g("recovered", func() float64 { return float64(mb.Stats.Recovered) })
 		g("dropped", func() float64 { return float64(mb.Stats.Dropped) })
-		g("trunk_up_committed_bps", func() float64 { return float64(mb.Trunk.CommittedUp()) })
-		g("trunk_down_committed_bps", func() float64 { return float64(mb.Trunk.CommittedDown()) })
+		g("trunk_up_committed_bps", func() float64 { up, _ := mb.trunkCommitted(); return float64(up) })
+		g("trunk_down_committed_bps", func() float64 { _, down := mb.trunkCommitted(); return float64(down) })
 	}
 	mg := func(sub, name string, fn func() float64) {
 		reg.Gauge(telemetry.Key{Node: "metro", Subsystem: sub, Name: name}, fn)

@@ -26,6 +26,12 @@ func titleBytes() int64 {
 
 func titleName(i int) string { return "t" + string(rune('A'+i)) }
 
+// trunkUp and trunkDown read a site's trunk charges straight off its
+// netsig ledger: the trunk port's link (edge→core) and its uplink
+// (core→edge).
+func trunkUp(mb *Member) int64   { return mb.Site.Signalling.Committed(mb.TrunkPort()) }
+func trunkDown(mb *Member) int64 { return mb.Site.Signalling.CommittedUplink(mb.TrunkPort()) }
+
 type harness struct {
 	m       *Controller
 	viewers [][]*core.Endpoint // [site][k]
@@ -84,10 +90,10 @@ func TestMetroSpillAdmission(t *testing.T) {
 	if !m.coreSw.Routed(1, s.SourceVCI()) || m.coreSw.Leaves(1, s.SourceVCI()) != 1 {
 		t.Fatal("core switch has no route for the spilled circuit")
 	}
-	if up := m.Member(1).Trunk.CommittedUp(); up != peakRate {
+	if up := trunkUp(m.Member(1)); up != peakRate {
 		t.Fatalf("serving trunk up committed %d, want %d", up, peakRate)
 	}
-	if dn := m.Member(0).Trunk.CommittedDown(); dn != peakRate {
+	if dn := trunkDown(m.Member(0)); dn != peakRate {
 		t.Fatalf("home trunk down committed %d, want %d", dn, peakRate)
 	}
 	if m.Member(0).Stats.SpillOut != 1 || m.Member(1).Stats.SpillIn != 1 || m.Stats.Spilled != 1 {
@@ -98,7 +104,7 @@ func TestMetroSpillAdmission(t *testing.T) {
 	if m.coreSw.Routed(1, s.SourceVCI()) || m.coreSw.RouteEntries() != 0 {
 		t.Fatal("core route survives Close")
 	}
-	if m.Member(1).Trunk.CommittedUp() != 0 || m.Member(0).Trunk.CommittedDown() != 0 {
+	if trunkUp(m.Member(1)) != 0 || trunkDown(m.Member(0)) != 0 {
 		t.Fatal("trunk budget survives Close")
 	}
 	if !s.Closed() {
@@ -119,7 +125,7 @@ func TestMetroPrefersHomeSite(t *testing.T) {
 	if s.Spilled() || m.Stats.Spilled != 0 || m.Member(0).Stats.Local != 1 {
 		t.Fatalf("local admission spilled: served=%d %+v", s.Served, m.Member(0).Stats)
 	}
-	if m.Member(0).Trunk.CommittedDown() != 0 && m.Member(1).Trunk.CommittedUp() != 0 {
+	if trunkDown(m.Member(0)) != 0 && trunkUp(m.Member(1)) != 0 {
 		t.Fatal("local session committed trunk bandwidth")
 	}
 }
@@ -147,8 +153,9 @@ func TestMetroTrunkIsAdmissionLeg(t *testing.T) {
 	if m.Member(0).Stats.RefusedTrunk != 1 || m.Stats.TrunkRefused != 1 {
 		t.Fatalf("trunk refusal not counted: %+v", m.Member(0).Stats)
 	}
-	// The serving site itself still has disk and uplink room.
-	if rep := m.Member(1).Ctrl.Probe(titleName(0), m.Member(1).TrunkPort()); !rep.OK {
+	// The serving site itself still has disk and uplink room: its
+	// node-local legs admit.
+	if rep := m.Member(1).Ctrl.Probe(titleName(0), -1); !rep.OK {
 		t.Fatalf("remote site out of room — refusal was not the trunk's doing: %+v", rep)
 	}
 	rep, served := m.Probe(0, titleName(0), h.viewers[0][1].Port)
@@ -314,11 +321,11 @@ func TestMetroFailSite(t *testing.T) {
 		t.Fatal("dead site's own viewer session still open")
 	}
 	// Trunk budgets moved with the session: site 1 free, site 2 carries.
-	if m.Member(1).Trunk.CommittedUp() != 0 {
-		t.Fatalf("dead site's trunk still committed %d", m.Member(1).Trunk.CommittedUp())
+	if trunkUp(m.Member(1)) != 0 {
+		t.Fatalf("dead site's trunk still committed %d", trunkUp(m.Member(1)))
 	}
-	if m.Member(2).Trunk.CommittedUp() != peakRate {
-		t.Fatalf("survivor trunk committed %d, want %d", m.Member(2).Trunk.CommittedUp(), peakRate)
+	if trunkUp(m.Member(2)) != peakRate {
+		t.Fatalf("survivor trunk committed %d, want %d", trunkUp(m.Member(2)), peakRate)
 	}
 	// No survivor's catalog lists the dead site.
 	for _, mb := range m.Members() {
@@ -359,7 +366,7 @@ func TestMetroFailSiteNoSurvivor(t *testing.T) {
 	if rep.Recovered != 0 || rep.Dropped != 1 || !sp.Closed() {
 		t.Fatalf("fail report %+v closed=%v, want the session dropped", rep, sp.Closed())
 	}
-	if m.Member(0).Trunk.CommittedDown() != 0 {
+	if trunkDown(m.Member(0)) != 0 {
 		t.Fatal("dropped session left trunk bandwidth committed")
 	}
 }

@@ -11,20 +11,29 @@ import (
 
 // Property (metro admission exactness, the federation analogue of
 // vodsite's TestSiteAdmissionInvariantProperty): under any sequence of
-// Guaranteed opens, closes, site failures and clock advances,
+// Guaranteed opens, closes, site failures, clock advances and live
+// channel verbs (open, join at any site, leave, a tightened viewer port
+// that forces a subtree degrade, close),
 //
 //   - Probe(home, title, port) names a serving site exactly when
 //     OpenSession admits, and the admitted session is served there;
-//   - every trunk's committed up rate is the sum over the live spilled
-//     sessions it serves, and its committed down rate the sum over the
-//     live spilled sessions homed behind it.
+//   - every trunk's committed up rate (netsig, on the trunk port's
+//     link) is the sum over the live spilled sessions it serves plus
+//     the home trunk branches of the channels homed behind it at their
+//     home tier; its committed down rate (the trunk port's uplink) is
+//     the sum over the live spilled sessions homed behind it plus the
+//     channels' subtrees at the site at their tier; neither ever
+//     exceeds TrunkRate, and both read zero once everything is closed.
 func TestMetroProbeOpenExactnessProperty(t *testing.T) {
 	const sites, nodes, viewers, titles = 3, 1, 6, 4
 	prop := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
+		// Trunks sized in tenths of a stream: at a whole multiple of
+		// peakRate every tier climb would fit exactly, and a trunk that
+		// over-subscribes on a climb would go unseen.
 		cfg := Config{
 			Sites:     sites,
-			TrunkRate: int64(1+rng.Intn(3)) * peakRate,
+			TrunkRate: peakRate * int64(10+rng.Intn(21)) / 10,
 			Vod:       vodsite.Config{PeakRate: peakRate},
 		}
 		holders := make([][]int, titles)
@@ -40,6 +49,11 @@ func TestMetroProbeOpenExactnessProperty(t *testing.T) {
 		}
 		h := buildMetro(t, cfg, nodes, viewers, titles, func(i int) []int { return holders[i] })
 		m := h.m
+		var (
+			open  []*Session
+			chans []*LiveChannel
+			joins []*LiveJoin
+		)
 
 		trunksOK := func() bool {
 			up := make([]int64, sites)
@@ -51,17 +65,29 @@ func TestMetroProbeOpenExactnessProperty(t *testing.T) {
 				up[s.Served] += s.rate
 				down[s.Home] += s.rate
 			}
+			for _, ch := range chans {
+				for site, b := range ch.trees {
+					if site != ch.home {
+						down[site] += b.Rate()
+					}
+				}
+				if len(ch.trees) > 1 {
+					up[ch.home] += ch.trees[ch.home].Rate()
+				}
+			}
 			for i, mb := range m.Members() {
-				if mb.Trunk.CommittedUp() != up[i] || mb.Trunk.CommittedDown() != down[i] {
+				u, d := trunkUp(mb), trunkDown(mb)
+				if u != up[i] || d != down[i] || u > cfg.TrunkRate || d > cfg.TrunkRate {
+					t.Logf("site %d trunk up=%d down=%d, live holds up=%d down=%d, TrunkRate %d",
+						i, u, d, up[i], down[i], cfg.TrunkRate)
 					return false
 				}
 			}
 			return true
 		}
 
-		var open []*Session
 		for i := 0; i < int(nOps); i++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(16); {
 			case op < 6: // open (weighted: the common op)
 				home := rng.Intn(sites)
 				title := titleName(rng.Intn(titles))
@@ -87,21 +113,54 @@ func TestMetroProbeOpenExactnessProperty(t *testing.T) {
 				}
 			case op < 9:
 				m.Clock().RunFor(sim.Duration(rng.Intn(300)) * sim.Millisecond)
-			default:
+			case op < 10:
 				if rng.Intn(4) == 0 {
 					m.FailSite(rng.Intn(sites))
 				}
+			case op < 11: // a channel on the air, its camera a home viewer port
+				home := rng.Intn(sites)
+				spec := liveSpec(h.viewers[home][rng.Intn(viewers)])
+				if ch, err := m.OpenBroadcast(home, spec); err == nil {
+					chans = append(chans, ch)
+				}
+			case op < 13: // a viewer joins any channel at any site
+				if len(chans) > 0 {
+					ch := chans[rng.Intn(len(chans))]
+					site := rng.Intn(sites)
+					if j, err := ch.Join(site, h.viewers[site][rng.Intn(viewers)].Port); err == nil {
+						joins = append(joins, j)
+					}
+				}
+			case op < 14:
+				if len(joins) > 0 {
+					k := rng.Intn(len(joins))
+					_ = joins[k].Leave()
+					joins = append(joins[:k], joins[k+1:]...)
+				}
+			case op < 15: // a tight viewer port: the next join there degrades
+				site := rng.Intn(sites)
+				port := h.viewers[site][rng.Intn(viewers)].Port
+				m.Member(site).Site.Signalling.SetPortCapacity(port, peakRate*int64(6+rng.Intn(4))/10)
+			default:
+				if len(chans) > 0 {
+					k := rng.Intn(len(chans))
+					_ = chans[k].Close()
+					chans = append(chans[:k], chans[k+1:]...)
+				}
 			}
 			if !trunksOK() {
-				t.Logf("seed %d op %d: trunk commitments disagree with live sessions", seed, i)
+				t.Logf("seed %d op %d: trunk commitments disagree with live holds", seed, i)
 				return false
 			}
 		}
 		for _, s := range open {
 			s.Close()
 		}
+		for _, ch := range chans {
+			_ = ch.Close()
+		}
 		for _, mb := range m.Members() {
-			if mb.Trunk.CommittedUp() != 0 || mb.Trunk.CommittedDown() != 0 {
+			if trunkUp(mb) != 0 || trunkDown(mb) != 0 {
 				return false
 			}
 		}
